@@ -32,7 +32,8 @@
 //!   (default 20).
 //!
 //! The breakdown artifact reports p50/p99 per layer — daemon
-//! queue-wait, extraction, router proxy overhead (router span minus
+//! queue-wait, prepare (scenario synthesis and source open), extraction,
+//! router proxy overhead (router span minus
 //! daemon span), and network residual (client span minus router span)
 //! — separately for cold (extracting) and hot (cache-served) requests.
 //! See `docs/OBSERVABILITY.md` for the span schema and how to read a
@@ -200,6 +201,7 @@ fn print_waterfall(spans: &[SpanRec]) {
 struct Breakdown {
     client_us: u64,
     queue_wait_us: u64,
+    prepare_us: u64,
     extract_us: u64,
     proxy_us: u64,
     residual_us: u64,
@@ -214,6 +216,7 @@ fn breakdown(spans: &[SpanRec]) -> Breakdown {
     let router = find("router", "request").map(|s| s.dur_us);
     let daemon = find("daemon", "request").map(|s| s.dur_us);
     let queue_wait = find("daemon", "queue_wait").map_or(0, |s| s.dur_us);
+    let prepare = find("daemon", "prepare").map_or(0, |s| s.dur_us);
     let extract = find("daemon", "extract").map_or(0, |s| s.dur_us);
     // The hop costs are differences between enclosing spans: what the
     // router added over the daemon, and what the network/client added
@@ -231,6 +234,7 @@ fn breakdown(spans: &[SpanRec]) -> Breakdown {
     Breakdown {
         client_us: client.unwrap_or(0),
         queue_wait_us: queue_wait,
+        prepare_us: prepare,
         extract_us: extract,
         proxy_us: proxy,
         residual_us: residual,
@@ -264,6 +268,7 @@ fn class_doc(rows: &[Breakdown]) -> Json {
     Json::object()
         .field("count", rows.len())
         .field("queue_wait_us", collect(|b| b.queue_wait_us))
+        .field("prepare_us", collect(|b| b.prepare_us))
         .field("extract_us", collect(|b| b.extract_us))
         .field("proxy_us", collect(|b| b.proxy_us))
         .field("residual_us", collect(|b| b.residual_us))

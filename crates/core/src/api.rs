@@ -119,11 +119,6 @@ pub enum Stage {
     Vision,
     /// Slope refinement over supporting edge pixels (baseline only).
     Refine,
-    /// Virtual time a job's session stalled waiting for its scheduled
-    /// dwell slots on a shared probe channel (multiplexed backends
-    /// only; overlaps the extraction stages rather than extending
-    /// them).
-    ChannelWait,
 }
 
 impl std::fmt::Display for Stage {
@@ -146,7 +141,6 @@ impl Stage {
             Stage::Acquire => "acquire",
             Stage::Vision => "vision",
             Stage::Refine => "refine",
-            Stage::ChannelWait => "channel-wait",
         }
     }
 
@@ -162,7 +156,6 @@ impl Stage {
             "acquire" => Some(Stage::Acquire),
             "vision" => Some(Stage::Vision),
             "refine" => Some(Stage::Refine),
-            "channel-wait" => Some(Stage::ChannelWait),
             _ => None,
         }
     }
@@ -1173,7 +1166,6 @@ mod tests {
             Stage::Acquire,
             Stage::Vision,
             Stage::Refine,
-            Stage::ChannelWait,
         ] {
             assert_eq!(Stage::from_name(stage.name()), Some(stage));
             assert_eq!(stage.to_string(), stage.name());

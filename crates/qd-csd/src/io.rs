@@ -11,8 +11,9 @@
 //! ```
 //!
 //! Row 0 (bottom of the diagram) is written first. The format is meant for
-//! dataset archiving and cross-tool exchange; `serde` derives on [`Csd`]
-//! additionally support any serde format.
+//! dataset archiving and cross-tool exchange, and it is the only
+//! serialization [`Csd`] has: its `serde` derives come from an offline
+//! marker shim (`vendor/serde`) that provides no serializer.
 
 use crate::{Csd, CsdError, VoltageGrid};
 

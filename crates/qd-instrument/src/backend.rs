@@ -18,7 +18,6 @@
 //! | `record:<tape>` | `sim`, taping every probe to `<tape>` ([`RecordingSource`]) |
 //! | `record:<tape>+<inner>` | any inner spec, taped |
 //! | `hwsim:<profile>` | the diagram behind a register-level DAC model ([`crate::hwsim`]) |
-//! | `multiplexed:<N>[+<inner>]` | any inner spec behind `N` shared probe channels ([`crate::mux`]) |
 //!
 //! `<dwell>` is an integer with a unit (`50us`, `2ms`, `1s`, `0`),
 //! validated and capped at the door like `qd-dataset`'s wire specs.
@@ -214,15 +213,6 @@ pub trait SourceBackend: Send + Sync {
         scenario: SourceScenario,
     ) -> Result<MeasurementSession<BoxedSource>, BackendError> {
         Ok(MeasurementSession::new(self.open(scenario)?))
-    }
-
-    /// The shared [`crate::mux::ChannelPool`] behind this backend, if it
-    /// multiplexes its sources over one — `None` for everything else.
-    /// Lets observers (the serve daemon's `/metrics`, trace spans) read
-    /// contention counters through the object-safe seam without
-    /// downcasting.
-    fn channel_pool(&self) -> Option<&crate::mux::ChannelPool> {
-        None
     }
 }
 
@@ -523,7 +513,7 @@ impl BackendRegistry {
     }
 
     /// The built-in schemes: `sim`, `throttled`, `replay`, `record`,
-    /// `hwsim`, `multiplexed`.
+    /// `hwsim`.
     pub fn standard() -> Self {
         let mut registry = Self::empty();
         registry.register("sim", |args, _| {
@@ -559,14 +549,6 @@ impl BackendRegistry {
         registry.register("hwsim", |args, _| {
             let profile = crate::hwsim::HwSimProfile::parse(args)?;
             Ok(Arc::new(crate::hwsim::HwSimBackend::new(profile)) as _)
-        });
-        registry.register("multiplexed", |args, registry| {
-            let (config, inner) = match args.split_once('+') {
-                Some((config, inner)) => (config, registry.resolve(inner)?),
-                None => (args, Arc::new(SimBackend) as Arc<dyn SourceBackend>),
-            };
-            let config = crate::mux::MuxConfig::parse(config)?;
-            Ok(Arc::new(crate::mux::MultiplexedBackend::new(config, inner)?) as _)
         });
         registry
     }

@@ -27,11 +27,6 @@
 //!   register-level DAC hardware model (code quantization, limit
 //!   tables, bus/slew probe cost, crosstalk, 1/f drift, dead pixels),
 //!   deterministic from the scenario seed (see [`hwsim`]).
-//! * [`MultiplexedBackend`] — `multiplexed:<N>[+inner]`: any inner
-//!   backend behind a [`ChannelPool`] of `N` shared probe channels,
-//!   with conflict-avoiding dwell-slot schedules ([`ProbeScheduler`]:
-//!   round-robin or equi-difference CAC codewords) and deterministic
-//!   virtual-time contention accounting (see [`mux`]).
 //!
 //! # Example
 //!
@@ -61,7 +56,6 @@ pub mod backend;
 pub mod clock;
 pub mod hwsim;
 pub mod ledger;
-pub mod mux;
 pub mod scan;
 pub mod session;
 pub mod source;
@@ -77,10 +71,6 @@ pub use hwsim::{
     BusStats, DacChannel, DacModel, HwSimBackend, HwSimPreset, HwSimProfile, HwSimSource,
 };
 pub use ledger::{ProbeEvent, ProbeLedger};
-pub use mux::{
-    ChannelPool, ChannelStats, EquiDifference, MultiplexedBackend, MuxConfig, MuxPolicy, MuxSource,
-    MuxStats, ProbeScheduler, RoundRobin, SessionWait,
-};
 pub use scan::ScanPattern;
 pub use session::{MeasurementSession, ProbeSession};
 pub use source::{CsdSource, CurrentSource, FnSource, PhysicsSource, VoltageWindow};

@@ -37,7 +37,6 @@
 pub mod blur;
 pub mod canny;
 pub mod hough;
-pub mod segments;
 pub mod sobel;
 
 mod error;
@@ -45,4 +44,3 @@ mod error;
 pub use canny::EdgeMap;
 pub use error::VisionError;
 pub use hough::HoughLine;
-pub use segments::LineSegment;

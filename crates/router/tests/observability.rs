@@ -3,8 +3,9 @@
 //! * a handcrafted `x-fastvg-trace` context sent through the router
 //!   must come back out of `/trace/recent` as one **connected**
 //!   waterfall — router request span under the client's span, the
-//!   proxy attempt under that, the daemon's request/queue-wait/extract
-//!   spans under the attempt, and per-stage spans under extract;
+//!   proxy attempt under that, the daemon's request under the attempt,
+//!   its queue-wait/prepare/extract spans tiling without overlap, and
+//!   per-stage spans under extract;
 //! * `/metrics` from both the daemon and the router must be
 //!   well-formed Prometheus text: every sample preceded by its
 //!   family's `# HELP`/`# TYPE` pair, histogram buckets cumulative and
@@ -62,6 +63,8 @@ struct Drained {
     parent: Option<u64>,
     layer: String,
     name: String,
+    start_us: u64,
+    dur_us: u64,
 }
 
 fn drain_recent(addr: &str) -> Vec<Drained> {
@@ -82,6 +85,8 @@ fn drain_recent(addr: &str) -> Vec<Drained> {
                 },
                 layer: doc.get("layer").unwrap().as_str().unwrap().to_string(),
                 name: doc.get("name").unwrap().as_str().unwrap().to_string(),
+                start_us: doc.get("start_us").unwrap().as_u64().unwrap(),
+                dur_us: doc.get("dur_us").unwrap().as_u64().unwrap(),
             }
         })
         .collect()
@@ -136,13 +141,35 @@ fn handcrafted_trace_context_yields_one_connected_waterfall() {
     let daemon_request = by_name("daemon", "request");
     assert_eq!(daemon_request.len(), 1, "one daemon handled it");
     assert_eq!(daemon_request[0].parent, Some(attempts[0].span));
-    for name in ["read", "parse", "queue_wait", "extract", "respond"] {
+    for name in [
+        "read",
+        "parse",
+        "queue_wait",
+        "prepare",
+        "extract",
+        "respond",
+    ] {
         let found = by_name("daemon", name);
         assert_eq!(found.len(), 1, "daemon span {name}");
         assert_eq!(
             found[0].parent,
             Some(daemon_request[0].span),
             "{name} parent"
+        );
+    }
+    // The job's scheduler-side spans tile: queue_wait ends where prepare
+    // begins, and prepare ends where extract begins.
+    let tiled: Vec<&Drained> = ["queue_wait", "prepare", "extract"]
+        .iter()
+        .map(|name| by_name("daemon", name)[0])
+        .collect();
+    for pair in tiled.windows(2) {
+        assert_eq!(
+            pair[0].start_us + pair[0].dur_us,
+            pair[1].start_us,
+            "{} must end where {} starts",
+            pair[0].name,
+            pair[1].name
         );
     }
     let extract = by_name("daemon", "extract")[0].span;

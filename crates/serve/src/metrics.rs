@@ -189,54 +189,6 @@ pub fn render_build_info(out: &mut String, version: &str, git: &str) {
     ));
 }
 
-/// Appends the multiplexed-backend contention families from a
-/// [`ChannelPool`](qd_instrument::ChannelPool) snapshot: per-channel
-/// stall time (virtual, in seconds), acquire outcomes
-/// (`clean`/`stalled`) and the used-over-horizon busy fraction.
-pub fn render_mux(stats: &qd_instrument::MuxStats, out: &mut String) {
-    family(
-        out,
-        "fastvg_mux_channel_wait_seconds_total",
-        "counter",
-        "Virtual time sessions stalled waiting for scheduled dwell slots, per channel.",
-    );
-    let slot = stats.slot.as_secs_f64();
-    for c in &stats.channels {
-        out.push_str(&format!(
-            "fastvg_mux_channel_wait_seconds_total{{chan=\"{}\"}} {}\n",
-            c.chan,
-            c.wait_slots as f64 * slot
-        ));
-    }
-    family(
-        out,
-        "fastvg_mux_acquire_total",
-        "counter",
-        "Dwell-slot acquisitions per channel, by outcome (clean = at the session's own pace).",
-    );
-    for c in &stats.channels {
-        for (outcome, value) in [("clean", c.clean), ("stalled", c.stalled)] {
-            out.push_str(&format!(
-                "fastvg_mux_acquire_total{{chan=\"{}\",outcome=\"{outcome}\"}} {value}\n",
-                c.chan
-            ));
-        }
-    }
-    family(
-        out,
-        "fastvg_mux_channel_busy_fraction",
-        "gauge",
-        "Used dwell slots over the channel's schedule horizon (1 = perfectly packed).",
-    );
-    for c in &stats.channels {
-        out.push_str(&format!(
-            "fastvg_mux_channel_busy_fraction{{chan=\"{}\"}} {}\n",
-            c.chan,
-            c.busy_fraction()
-        ));
-    }
-}
-
 /// All the daemon's telemetry, shared by every connection worker and the
 /// scheduler.
 #[derive(Debug, Default)]

@@ -86,8 +86,9 @@ pub struct JobRequest {
     pub canonical: String,
     /// Trace context of the originating request (the daemon's request
     /// span), when the request is being traced. The scheduler parents
-    /// its queue-wait / extract / stage spans to it. Deliberately *not*
-    /// part of the canonical form: tracing never splits cache entries.
+    /// its queue-wait / prepare / extract / stage spans to it.
+    /// Deliberately *not* part of the canonical form: tracing never
+    /// splits cache entries.
     pub trace: Option<TraceContext>,
 }
 
@@ -478,8 +479,8 @@ impl Scheduler {
     }
 
     /// Attaches the daemon's tracer: jobs carrying a
-    /// [`JobRequest::trace`] context get queue-wait / extract / stage
-    /// spans minted when they finish.
+    /// [`JobRequest::trace`] context get queue-wait / prepare / extract /
+    /// stage spans minted when they finish.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.tracer = Some(tracer);
@@ -509,6 +510,7 @@ impl Scheduler {
         batch: &[(u64, JobRequest, Instant)],
         extractors: &[(Method, Box<dyn Extractor>)],
     ) {
+        let dequeued = Instant::now();
         let pool = ThreadPool::new(self.jobs);
         let realized: Vec<Result<Csd, String>> =
             pool.par_map(batch, |_, (_, request, _)| request.scenario.realize());
@@ -601,15 +603,7 @@ impl Scheduler {
                 });
             for (k, outcome) in outcomes.into_iter().enumerate() {
                 let (id, request, submitted) = &batch[group[k].0];
-                let wall = outcome.wall;
-                // Drain the job's shared-channel stall summary (if its
-                // backend multiplexes) whether it succeeded or not, so
-                // the pool's finished-session ledger stays tidy.
-                let channel_wait = request
-                    .backend
-                    .channel_pool()
-                    .and_then(|pool| pool.take_session_wait(&format!("job{id}")));
-                let (finished, mut stages) = match outcome.outcome {
+                let (finished, stages) = match outcome.outcome {
                     Ok(report) => {
                         let body = result_body(&report);
                         (
@@ -630,36 +624,35 @@ impl Scheduler {
                         None,
                     ),
                 };
-                // Appended *after* `result_body(&report)` serialized the
-                // response: the synthetic stage feeds metrics histograms
-                // and trace waterfalls only — cached and wire bytes stay
-                // bit-identical to an unmultiplexed run.
-                if let (Some(stages), Some(wait)) = (stages.as_mut(), channel_wait) {
-                    stages.push(fastvg_core::api::StageTiming {
-                        stage: fastvg_core::api::Stage::ChannelWait,
-                        probes: wait.stalled as usize,
-                        elapsed: wait.wait,
-                    });
-                }
-                self.trace_job(request, *submitted, wall, stages.as_deref());
+                self.trace_job(
+                    request,
+                    *submitted,
+                    dequeued,
+                    outcome.started,
+                    outcome.wall,
+                    stages.as_deref(),
+                );
                 self.finish(*id, request, *submitted, finished, stages.as_deref());
             }
         }
     }
 
     /// Mints the scheduler-side spans for one finished traced job:
-    /// `queue_wait` (submit → extraction start) and `extract` (the
-    /// job's in-pipeline wall time), plus one child span per extraction
-    /// stage laid out sequentially inside `extract`. Stage spans are
-    /// re-exported from the Observer-derived [`StageTiming`]s each
-    /// report carries — the pipeline itself is not re-instrumented.
-    /// Spans are backdated from wall-clock "now": the job just finished,
-    /// so `extract` ended now and started `wall` ago, and `queue_wait`
-    /// covers the remainder back to the submit instant.
+    /// `queue_wait` (submit → the scheduler dequeuing its batch),
+    /// `prepare` (dequeue → extraction start: scenario synthesis,
+    /// source open, and waiting for a batch worker) and `extract` (the
+    /// job's in-pipeline wall time). The three tile without overlap.
+    /// One child span per extraction stage is laid out sequentially
+    /// inside `extract`; stage spans are re-exported from the
+    /// Observer-derived [`StageTiming`]s each report carries — the
+    /// pipeline itself is not re-instrumented. Instants map to
+    /// wall-clock microseconds through one "now" reading.
     fn trace_job(
         &self,
         request: &JobRequest,
         submitted: Instant,
+        dequeued: Instant,
+        started: Instant,
         wall: Duration,
         stages: Option<&[fastvg_core::api::StageTiming]>,
     ) {
@@ -668,17 +661,18 @@ impl Scheduler {
         };
         let trace = TraceId(ctx.trace);
         let parent = Some(SpanId(ctx.span));
-        let now_us = fastvg_obs::unix_us();
-        let total_us = submitted.elapsed().as_micros() as u64;
-        let wall_us = (wall.as_micros() as u64).min(total_us);
-        let submit_us = now_us.saturating_sub(total_us);
-        let extract_start_us = now_us.saturating_sub(wall_us);
+        let since_submit = |t: Instant| t.saturating_duration_since(submitted).as_micros() as u64;
+        let submit_us = fastvg_obs::unix_us().saturating_sub(since_submit(Instant::now()));
+        let queue_us = since_submit(dequeued);
+        let start_us = since_submit(started);
+        let extract_start_us = submit_us + start_us;
+        tracer.emit(trace, parent, "queue_wait", submit_us, queue_us, Vec::new());
         tracer.emit(
             trace,
             parent,
-            "queue_wait",
-            submit_us,
-            total_us - wall_us,
+            "prepare",
+            submit_us + queue_us,
+            start_us - queue_us,
             Vec::new(),
         );
         let extract = tracer.emit(
@@ -686,27 +680,12 @@ impl Scheduler {
             parent,
             "extract",
             extract_start_us,
-            wall_us,
+            wall.as_micros() as u64,
             vec![("method", request.method.wire_name().to_string())],
         );
         let mut cursor = extract_start_us;
         for timing in stages.unwrap_or(&[]) {
             let dur = timing.elapsed.as_micros() as u64;
-            // Channel-wait is virtual time overlapping the real stages
-            // (the session stalls *inside* its sweeps), so its span is
-            // an overlay child at the extract start, not a slice of the
-            // sequential stage tiling.
-            if timing.stage == fastvg_core::api::Stage::ChannelWait {
-                tracer.emit(
-                    trace,
-                    Some(extract),
-                    timing.stage.name(),
-                    extract_start_us,
-                    dur,
-                    vec![("stalled_probes", timing.probes.to_string())],
-                );
-                continue;
-            }
             tracer.emit(
                 trace,
                 Some(extract),

@@ -45,10 +45,8 @@ pub const REQUEST_MAX_DWELL: Duration = Duration::from_millis(50);
 /// schemes (`record`, `replay`) touch the server's filesystem and stay
 /// operator-only; `hwsim` is wire-safe because its dwell is virtual
 /// accounting (no wall-clock sleep) and every profile knob is
-/// range-checked at parse time; `multiplexed` is wire-safe because its
-/// schedule accounting is virtual and its inner spec is re-validated
-/// against this same allowlist.
-pub const REQUEST_BACKEND_SCHEMES: [&str; 4] = ["sim", "throttled", "hwsim", "multiplexed"];
+/// range-checked at parse time.
+pub const REQUEST_BACKEND_SCHEMES: [&str; 3] = ["sim", "throttled", "hwsim"];
 
 /// Daemon configuration.
 ///
@@ -562,33 +560,22 @@ impl ExtractParser {
 
     /// Validates a request-supplied backend spec at the door: only
     /// [`REQUEST_BACKEND_SCHEMES`] are reachable over the wire, inner
-    /// compositions (`+`) are refused — except under `multiplexed:`,
-    /// whose inner spec is recursively re-validated right here, so a
-    /// tape scheme cannot hide behind a pool — and throttle dwells are
-    /// capped at [`REQUEST_MAX_DWELL`] so a hostile request cannot park
-    /// the extraction workers.
+    /// compositions (`+`) are refused, and throttle dwells are capped
+    /// at [`REQUEST_MAX_DWELL`] so a hostile request cannot park the
+    /// extraction workers.
     fn request_backend(&self, spec: &str) -> Result<Arc<dyn SourceBackend>, RequestError> {
         // One scheme parser everywhere: the registry's, not an ad-hoc
         // prefix match (which would let "sim extra" or " throttled"
         // disagree with what resolve() later sees).
-        let (scheme, args) = BackendRegistry::split_spec(spec);
-        let composition_ok = scheme == "multiplexed" || !spec.contains('+');
-        if !REQUEST_BACKEND_SCHEMES.contains(&scheme) || !composition_ok {
+        let (scheme, _) = BackendRegistry::split_spec(spec);
+        if !REQUEST_BACKEND_SCHEMES.contains(&scheme) || spec.contains('+') {
             return Err(reject(
                 400,
                 format!(
                     "backend {spec:?} is not allowed over the wire \
-                     (allowed: sim, throttled:<dwell>, hwsim:<profile>, \
-                     multiplexed:<N>[+inner])"
+                     (allowed: sim, throttled:<dwell>, hwsim:<profile>)"
                 ),
             ));
-        }
-        if scheme == "multiplexed" {
-            if let Some((_, inner)) = args.split_once('+') {
-                // Same door, one level down: the inner spec must itself
-                // be wire-allowed (recursion also covers nested pools).
-                self.request_backend(inner)?;
-            }
         }
         let backend = self
             .registry
@@ -909,9 +896,9 @@ impl ExtractService {
         self.metrics.queue_depth.set(self.queue.depth() as u64);
 
         if !wait {
-            // The job's queue-wait/extract spans still parent to this
-            // request span by id after it closes — links are by id, not
-            // by lifetime.
+            // The job's queue-wait/prepare/extract spans still parent to
+            // this request span by id after it closes — links are by id,
+            // not by lifetime.
             self.finish_request(span, started, "queued");
             return Outcome::Ready(job_status_response(202, id, "queued", false));
         }
@@ -1048,9 +1035,6 @@ impl ExtractService {
                     "fastvg_connections_total{{event=\"{event}\"}} {value}\n"
                 ));
             }
-        }
-        if let Some(pool) = self.parser.default_backend().channel_pool() {
-            crate::metrics::render_mux(&pool.stats(), &mut text);
         }
         Response::text(200, text)
     }

@@ -149,13 +149,11 @@ pub mod prelude {
     // The measurement stack: sessions, sources, and the runtime
     // backend/tape seam.
     pub use qd_instrument::{
-        BackendError, BackendRegistry, BoxedSource, BusStats, ChannelPool, ChannelStats, CsdSource,
-        CurrentSource, DacChannel, DacModel, DwellClock, EquiDifference, FnSource, HwSimBackend,
-        HwSimPreset, HwSimProfile, HwSimSource, MeasurementSession, MultiplexedBackend, MuxConfig,
-        MuxPolicy, MuxStats, PhysicsSource, ProbeScheduler, ProbeSession, RecordBackend,
-        RecordingSource, ReplayBackend, ReplayMode, ReplaySource, RoundRobin, ScanPattern,
-        SessionWait, SimBackend, SourceBackend, SourceScenario, Tape, ThrottledBackend,
-        ThrottledSource, VoltageWindow,
+        BackendError, BackendRegistry, BoxedSource, BusStats, CsdSource, CurrentSource, DacChannel,
+        DacModel, DwellClock, FnSource, HwSimBackend, HwSimPreset, HwSimProfile, HwSimSource,
+        MeasurementSession, PhysicsSource, ProbeSession, RecordBackend, RecordingSource,
+        ReplayBackend, ReplayMode, ReplaySource, ScanPattern, SimBackend, SourceBackend,
+        SourceScenario, Tape, ThrottledBackend, ThrottledSource, VoltageWindow,
     };
     // Diagrams and devices.
     pub use qd_csd::{Csd, Pixel, VirtualizationMatrix, VoltageGrid};

@@ -28,14 +28,7 @@ fn registry_resolves_every_shipped_scheme_and_rejects_hostile_specs() {
     let registry = BackendRegistry::standard();
     assert_eq!(
         registry.schemes(),
-        vec![
-            "sim",
-            "throttled",
-            "replay",
-            "record",
-            "hwsim",
-            "multiplexed"
-        ]
+        vec!["sim", "throttled", "replay", "record", "hwsim"]
     );
 
     for good in [

@@ -97,14 +97,7 @@ fn healthz_reports_build_and_backend_info() {
         .collect();
     assert_eq!(
         schemes,
-        vec![
-            "sim",
-            "throttled",
-            "replay",
-            "record",
-            "hwsim",
-            "multiplexed"
-        ]
+        vec!["sim", "throttled", "replay", "record", "hwsim"]
     );
     let request_schemes: Vec<&str> = doc
         .get("request_backends")
@@ -173,27 +166,33 @@ fn request_backends_are_validated_at_the_door() {
     assert_eq!(a.slope_h.to_bits(), c.slope_h.to_bits());
     assert_eq!(a.probes, c.probes);
 
-    // A request-selected multiplexed pool is wire-reachable, including
-    // the inner-spec carve-out (`+inner` is only legal under the
-    // `multiplexed:` scheme, and the inner spec re-enters the same
-    // allowlist), and reads bit-identically to sim.
-    let muxed = client
-        .post(
-            "/extract?wait",
-            br#"{"benchmark": 6, "backend": "multiplexed:1+throttled:100us"}"#,
-        )
-        .expect("multiplexed request");
-    assert_eq!(muxed.status, 200);
-    assert_eq!(muxed.header("x-fastvg-cache"), Some("miss"));
-    let d = report(&muxed);
-    assert_eq!(a.slope_h.to_bits(), d.slope_h.to_bits());
-    assert_eq!(a.probes, d.probes);
+    // `+` composition is refused whatever the outer scheme, and so is
+    // any scheme outside the allowlist; both name the allowed schemes.
+    for rejected in [
+        "sim+sim",
+        "throttled:100us+sim",
+        "throttled:100us+hwsim:nominal",
+        "hwsim:nominal+sim",
+        "hwsim:nominal+throttled:100us",
+        "multiplexed:1",
+    ] {
+        let body = format!(r#"{{"benchmark": 6, "backend": "{rejected}"}}"#);
+        let response = client
+            .post("/extract?wait", body.as_bytes())
+            .expect("request completes");
+        assert_eq!(response.status, 400, "{rejected}");
+        let text = String::from_utf8_lossy(&response.body);
+        assert!(
+            text.contains("allowed: sim, throttled:<dwell>, hwsim:<profile>)"),
+            "{rejected}: {text}"
+        );
+    }
 
     // Hostile backends bounce with 400 at the door: tape schemes touch
-    // the server's filesystem, compositions smuggle them in (directly
-    // or through a multiplexed inner spec), huge dwells park workers,
-    // unknown schemes don't exist, and malformed hwsim or mux specs die
-    // in the registry's range checks.
+    // the server's filesystem, compositions smuggle them in, huge
+    // dwells park workers, unknown schemes (`hardware:`,
+    // `multiplexed:`) don't exist, and malformed hwsim specs die in the
+    // registry's range checks.
     for hostile in [
         r#"{"benchmark": 6, "backend": "record:/tmp/evil.tape"}"#,
         r#"{"benchmark": 6, "backend": "replay:/etc/passwd"}"#,
