@@ -91,8 +91,6 @@ pub struct BatchOutcome<R> {
     pub coverage: f64,
     /// Simulated dwell time accrued (`probes × dwell`).
     pub simulated_dwell: Duration,
-    /// When a worker picked the job up (the start of `wall`).
-    pub started: Instant,
     /// Real wall-clock time the job occupied a worker (includes any
     /// physical source latency; varies run-to-run, unlike every other
     /// field).
@@ -243,7 +241,6 @@ impl BatchExtractor {
             let outcome = work(&mut session);
             BatchOutcome {
                 job,
-                started,
                 wall: started.elapsed(),
                 probes: session.probe_count(),
                 unique_pixels: session.unique_pixels(),

@@ -296,23 +296,10 @@ fn decode_job(gid: u64) -> (u64, usize) {
     (gid >> 8, (gid & 0xff) as usize)
 }
 
-/// The daemon's error-document shape, reproduced so router-origin
+/// The daemon's own `"request"` error document, so router-origin
 /// errors are indistinguishable from daemon-origin ones on the wire.
 fn error_doc(status: u16, message: &str) -> Response {
-    let mut body = Json::object()
-        .field("ok", false)
-        .field(
-            "error",
-            Json::object()
-                .field("category", "request")
-                .field("message", message)
-                .field("chain", Vec::<Json>::new())
-                .build(),
-        )
-        .build()
-        .dump();
-    body.push('\n');
-    Response::json(status, body)
+    Response::json(status, fastvg_serve::queue::request_failure_body(message))
 }
 
 impl RouterService {

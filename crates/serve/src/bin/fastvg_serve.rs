@@ -11,7 +11,8 @@
 //!
 //! * `--addr HOST:PORT` — bind address (default `127.0.0.1:8737`; port
 //!   `0` picks an ephemeral port, printed on stdout).
-//! * `--jobs N` — concurrent extraction workers (default: one per core).
+//! * `--jobs N` — long-lived extraction workers, each running one job
+//!   start to finish (default: one per core).
 //! * `--max-connections N` — concurrently open connections before the
 //!   reactor answers `503` at accept (default 4096).
 //! * `--read-deadline-s SECS` — per-request read deadline, the
@@ -79,7 +80,6 @@ fn main() {
                     Duration::from_secs(parse_flag(&mut args, "--drain-deadline-s"))
             }
             "--queue-capacity" => config.queue_capacity = parse_flag(&mut args, "--queue-capacity"),
-            "--batch-max" => config.batch_max = parse_flag(&mut args, "--batch-max"),
             "--cache-capacity" => cache.capacity = parse_flag(&mut args, "--cache-capacity"),
             "--cache-shards" => cache.shards = parse_flag(&mut args, "--cache-shards"),
             "--max-body-bytes" => config.max_body_bytes = parse_flag(&mut args, "--max-body-bytes"),

@@ -3,10 +3,10 @@
 //! The paper makes single-device virtual-gate extraction fast; the
 //! ROADMAP's north star is a system that *serves* that extraction at
 //! fleet scale. This crate is the missing layer between the two: a
-//! long-running daemon that accepts extraction jobs over HTTP, schedules
-//! them onto the same worker pool and object-safe
-//! [`fastvg_core::api::Extractor`] path the offline harnesses use,
-//! caches results by content, and exposes live telemetry.
+//! long-running daemon that accepts extraction jobs over HTTP, runs each
+//! one start to finish on a long-lived worker through the same
+//! object-safe [`fastvg_core::api::Extractor`] path the offline
+//! harnesses use, caches results by content, and exposes live telemetry.
 //!
 //! Everything is built on `std::net` — zero new external dependencies,
 //! consistent with the workspace's offline vendor policy.
@@ -14,7 +14,7 @@
 //! | module | role |
 //! |---|---|
 //! | [`http`] | hand-rolled HTTP/1.1 on an epoll reactor: nonblocking accept, keep-alive, request limits, graceful drain |
-//! | [`queue`] | bounded job queue + batch scheduler over the mini-rayon pool |
+//! | [`queue`] | bounded job queue + long-lived extraction workers, each running one job start to finish |
 //! | [`cache`] | sharded LRU result cache keyed by canonical-request fingerprints |
 //! | [`metrics`] | counters + latency histograms behind `GET /metrics` |
 //! | [`service`] | the routes, request validation, and daemon lifecycle |

@@ -47,6 +47,16 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
+    /// Adds one.
+    pub fn inc(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Subtracts one.
+    pub fn dec(&self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -189,8 +199,8 @@ pub fn render_build_info(out: &mut String, version: &str, git: &str) {
     ));
 }
 
-/// All the daemon's telemetry, shared by every connection worker and the
-/// scheduler.
+/// All the daemon's telemetry, shared by the reactor and the extraction
+/// workers.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// `POST /extract` requests accepted for parsing.
@@ -213,9 +223,10 @@ pub struct Metrics {
     pub jobs_failed: Counter,
     /// Submissions rejected because the queue was full.
     pub queue_rejected: Counter,
-    /// Jobs currently waiting in the queue.
+    /// Jobs currently waiting in the queue (refreshed from the queue
+    /// whenever `GET /metrics` is served).
     pub queue_depth: Gauge,
-    /// Jobs currently running on the pool.
+    /// Jobs a worker has taken and not yet finished.
     pub jobs_running: Gauge,
     /// Results served from the cache.
     pub cache_hits: Counter,
@@ -354,7 +365,7 @@ impl Metrics {
             &mut out,
             "fastvg_jobs_running",
             "gauge",
-            "Jobs currently running on the extraction pool.",
+            "Jobs currently running on the extraction workers.",
         );
         out.push_str(&format!(
             "fastvg_jobs_running {}\n",

@@ -1,11 +1,12 @@
-//! The bounded job queue, job table, and batch scheduler.
+//! The bounded job queue, job table, and extraction workers.
 //!
 //! `POST /extract` submissions land here as validated [`JobRequest`]s.
-//! One scheduler thread drains the queue in arrival order, *realizes*
-//! each scenario into a diagram and fans the extractions out over the
-//! vendored mini-rayon pool through the same
-//! [`fastvg_core::batch::BatchExtractor`]`/&dyn `[`Extractor`] path
-//! every offline harness uses — the daemon adds scheduling and caching,
+//! `spawn_workers` starts the daemon's long-lived workers. Each takes
+//! one job at a time in arrival order and runs it start to finish:
+//! realize the scenario into a diagram, open it through the job's
+//! backend, extract through the same `&dyn `[`Extractor`] path every
+//! offline harness uses, serialize, cache, finish. A job never waits
+//! for another job to finish — the daemon adds scheduling and caching,
 //! never a second extraction code path.
 //!
 //! # Determinism
@@ -13,13 +14,13 @@
 //! Scenario specs carry their own seeds ([`qd_dataset::BenchmarkSpec`]),
 //! generation derives per-job RNGs from them, and replay sessions are
 //! pure, so resubmitting a request reproduces the same slopes, α
-//! coefficients and probe counts bit-for-bit regardless of batch
-//! composition or worker count — only wall-clock fields vary. That is
-//! what makes result caching sound.
+//! coefficients and probe counts bit-for-bit regardless of which worker
+//! runs it or how many workers there are — only wall-clock fields vary.
+//! That is what makes result caching sound.
 
 use crate::cache::ResultCache;
 use crate::metrics::Metrics;
-use fastvg_core::api::{extract_with, ExtractionReport, Extractor};
+use fastvg_core::api::{extract_with, ExtractionReport, Extractor, StageTiming};
 use fastvg_core::baseline::HoughBaseline;
 use fastvg_core::extraction::FastExtractor;
 use fastvg_core::report::Method;
@@ -27,13 +28,14 @@ use fastvg_core::tuning::TuningLoop;
 use fastvg_core::ExtractError;
 use fastvg_obs::{SpanId, TraceId, Tracer};
 use fastvg_wire::{Json, TraceContext};
-use mini_rayon::ThreadPool;
 use qd_csd::Csd;
 use qd_dataset::BenchmarkSpec;
-use qd_instrument::{BoxedSource, MeasurementSession, SourceBackend, SourceScenario};
+use qd_instrument::{SourceBackend, SourceScenario};
 use std::collections::{HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// What one job extracts: a scenario to realize into a diagram.
@@ -47,7 +49,7 @@ pub enum Scenario {
 
 impl Scenario {
     /// Produces the diagram to probe. Spec generation is deterministic
-    /// in the spec's seed, so realization commutes with batching.
+    /// in the spec's seed, so it does not matter which worker realizes it.
     fn realize(&self) -> Result<Csd, String> {
         match self {
             Scenario::Spec(spec) => qd_dataset::generate(spec)
@@ -85,8 +87,8 @@ pub struct JobRequest {
     /// canonical backend string).
     pub canonical: String,
     /// Trace context of the originating request (the daemon's request
-    /// span), when the request is being traced. The scheduler parents
-    /// its queue-wait / prepare / extract / stage spans to it.
+    /// span), when the request is being traced. The worker parents the
+    /// job's queue-wait / prepare / extract / stage spans to it.
     /// Deliberately *not* part of the canonical form: tracing never
     /// splits cache entries.
     pub trace: Option<TraceContext>,
@@ -121,7 +123,7 @@ impl FinishedJob {
 pub enum JobState {
     /// Waiting in the queue.
     Queued,
-    /// Being extracted by a batch worker.
+    /// Taken by a worker and being run.
     Running,
     /// Finished (result or failure).
     Finished(FinishedJob),
@@ -140,7 +142,7 @@ impl JobState {
 
 struct JobEntry {
     state: JobState,
-    /// Taken by the scheduler when the job starts running.
+    /// Taken by the worker when the job starts running.
     request: Option<JobRequest>,
     submitted: Instant,
 }
@@ -217,8 +219,8 @@ impl JobQueue {
     /// # Errors
     ///
     /// Returns [`QueueFull`] when `capacity` jobs are already pending or
-    /// the queue is stopping (a stopping scheduler would never run the
-    /// job, so admitting it would strand the client).
+    /// the queue is stopping (stopping workers would never run the job,
+    /// so admitting it would strand the client).
     pub fn submit(&self, request: JobRequest) -> Result<u64, QueueFull> {
         let mut inner = self.inner.lock().expect("queue poisoned");
         if inner.pending.len() >= self.capacity || inner.stopping {
@@ -300,23 +302,18 @@ impl JobQueue {
         }
     }
 
-    /// Takes up to `max` pending jobs (blocking while the queue is empty)
-    /// and marks them running. Returns `None` once the queue is stopping
-    /// and drained — the scheduler's exit condition.
-    pub fn take_batch(&self, max: usize) -> Option<Vec<(u64, JobRequest, Instant)>> {
+    /// Takes the oldest pending job (blocking while the queue is empty)
+    /// and marks it running, returning its id, request and submit time.
+    /// Returns `None` once the queue is stopping and drained — a
+    /// worker's exit condition.
+    pub fn take(&self) -> Option<(u64, JobRequest, Instant)> {
         let mut inner = self.inner.lock().expect("queue poisoned");
         loop {
-            if !inner.pending.is_empty() {
-                let take = inner.pending.len().min(max.max(1));
-                let mut batch = Vec::with_capacity(take);
-                for _ in 0..take {
-                    let id = inner.pending.pop_front().expect("checked non-empty");
-                    let entry = inner.jobs.get_mut(&id).expect("pending job in table");
-                    entry.state = JobState::Running;
-                    let request = entry.request.take().expect("queued job has request");
-                    batch.push((id, request, entry.submitted));
-                }
-                return Some(batch);
+            if let Some(id) = inner.pending.pop_front() {
+                let entry = inner.jobs.get_mut(&id).expect("pending job in table");
+                entry.state = JobState::Running;
+                let request = entry.request.take().expect("queued job has request");
+                return Some((id, request, entry.submitted));
             }
             if inner.stopping {
                 return None;
@@ -353,7 +350,7 @@ impl JobQueue {
     ///
     /// * immediately on this thread if the job already finished (or is
     ///   unknown / the queue is stopping — then with `None`);
-    /// * on the scheduler thread from [`JobQueue::finish`];
+    /// * on the worker thread from [`JobQueue::finish`];
     /// * on the stopping thread from [`JobQueue::stop`], with `None`.
     pub fn on_finished(&self, id: u64, callback: FinishedCallback) {
         let mut inner = self.inner.lock().expect("queue poisoned");
@@ -377,12 +374,12 @@ impl JobQueue {
         }
     }
 
-    /// Pending jobs waiting for the scheduler.
+    /// Pending jobs waiting for a worker.
     pub fn depth(&self) -> usize {
         self.inner.lock().expect("queue poisoned").pending.len()
     }
 
-    /// Starts the shutdown: wakes the scheduler and every waiter, and
+    /// Starts the shutdown: wakes the workers and every waiter, and
     /// fires outstanding [`JobQueue::on_finished`] subscriptions with
     /// `None` so parked connections fall back instead of hanging out the
     /// full wait timeout.
@@ -423,15 +420,23 @@ pub fn failure_body(error: &ExtractError) -> Vec<u8> {
     body.into_bytes()
 }
 
-/// Serializes a protocol-level failure (scenario realization, queue
-/// administration) with the out-of-taxonomy category `"request"`.
+/// Serializes a protocol-level failure (a rejected request, scenario
+/// realization, queue administration) with the out-of-taxonomy
+/// category `"request"` — the one error document the daemon and the
+/// router answer with.
 pub fn request_failure_body(message: &str) -> Vec<u8> {
+    reserved_failure_body("request", message)
+}
+
+/// A failure document under one of the reserved out-of-taxonomy
+/// categories (`"request"`, `"internal"`), with an empty chain.
+fn reserved_failure_body(category: &str, message: &str) -> Vec<u8> {
     let mut body = Json::object()
         .field("ok", false)
         .field(
             "error",
             Json::object()
-                .field("category", "request")
+                .field("category", category)
                 .field("message", message)
                 .field("chain", Vec::<Json>::new())
                 .build(),
@@ -442,329 +447,255 @@ pub fn request_failure_body(message: &str) -> Vec<u8> {
     body.into_bytes()
 }
 
-/// The scheduler: drains the queue, realizes scenarios, and fans each
-/// batch onto the worker pool through the erased [`Extractor`] path.
-pub struct Scheduler {
+/// What the workers share.
+struct Shared {
     queue: Arc<JobQueue>,
     cache: Arc<ResultCache>,
     metrics: Arc<Metrics>,
-    jobs: usize,
-    batch_max: usize,
     tracer: Option<Arc<Tracer>>,
 }
 
-impl Scheduler {
-    /// A scheduler over the shared queue/cache/metrics, running up to
-    /// `jobs` concurrent extractions (`0` = one per core) and draining
-    /// at most `batch_max` submissions per wakeup.
-    pub fn new(
-        queue: Arc<JobQueue>,
-        cache: Arc<ResultCache>,
-        metrics: Arc<Metrics>,
-        jobs: usize,
-        batch_max: usize,
-    ) -> Self {
-        Self {
-            queue,
-            cache,
-            metrics,
-            jobs: if jobs == 0 {
-                mini_rayon::available_workers()
-            } else {
-                jobs
-            },
-            batch_max: batch_max.max(1),
-            tracer: None,
-        }
-    }
-
-    /// Attaches the daemon's tracer: jobs carrying a
-    /// [`JobRequest::trace`] context get queue-wait / prepare / extract /
-    /// stage spans minted when they finish.
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// Runs until [`JobQueue::stop`] — the scheduler thread's body.
-    pub fn run(self) {
-        // One extractor per method, built once and driven erased — the
-        // scheduler never branches on what it is running.
-        let extractors: Vec<(Method, Box<dyn Extractor>)> = vec![
-            (Method::FastExtraction, Box::new(FastExtractor::new())),
-            (Method::HoughBaseline, Box::new(HoughBaseline::new())),
-            (Method::TunedFast, Box::new(TuningLoop::new())),
-        ];
-        while let Some(batch) = self.queue.take_batch(self.batch_max) {
-            self.metrics.queue_depth.set(self.queue.depth() as u64);
-            self.metrics.jobs_running.set(batch.len() as u64);
-            self.run_batch(&batch, &extractors);
-            self.metrics.jobs_running.set(0);
-            self.metrics.queue_depth.set(self.queue.depth() as u64);
-        }
-    }
-
-    fn run_batch(
-        &self,
-        batch: &[(u64, JobRequest, Instant)],
-        extractors: &[(Method, Box<dyn Extractor>)],
-    ) {
-        let dequeued = Instant::now();
-        let pool = ThreadPool::new(self.jobs);
-        let realized: Vec<Result<Csd, String>> =
-            pool.par_map(batch, |_, (_, request, _)| request.scenario.realize());
-
-        // Scenarios that failed to realize finish immediately.
-        for ((id, request, submitted), realized) in batch.iter().zip(&realized) {
-            if let Err(message) = realized {
-                self.finish(
-                    *id,
-                    request,
-                    *submitted,
-                    FinishedJob {
-                        ok: false,
-                        cache_hit: false,
-                        body: request_failure_body(message),
-                    },
-                    None,
-                );
-            }
-        }
-
-        // A method with no registered extractor must still finish its
-        // jobs (defensive: `Method` is non-exhaustive, and a hung job
-        // would pin its waiter until the timeout).
-        for ((id, request, submitted), realized) in batch.iter().zip(&realized) {
-            if realized.is_ok() && !extractors.iter().any(|(m, _)| *m == request.method) {
-                self.finish(
-                    *id,
-                    request,
-                    *submitted,
-                    FinishedJob {
-                        ok: false,
-                        cache_hit: false,
-                        body: request_failure_body(&format!(
-                            "method {} not servable",
-                            request.method
-                        )),
-                    },
-                    None,
-                );
-            }
-        }
-
-        // Group the rest by method and run each group through the one
-        // erased batch path. Sources are opened through each job's
-        // backend *before* the fan-out, so an open failure (unreadable
-        // tape, unwritable path) finishes its job cleanly instead of
-        // panicking a worker.
-        for (method, extractor) in extractors {
-            let mut group: Vec<(usize, Mutex<Option<BoxedSource>>)> = Vec::new();
-            for (i, (id, request, submitted)) in batch.iter().enumerate() {
-                if request.method != *method || realized[i].is_err() {
-                    continue;
-                }
-                let csd = realized[i].as_ref().expect("checked ok").clone();
-                let scenario = SourceScenario::new(csd)
-                    .with_label(format!("job{id}"))
-                    .with_seed(request.scenario.seed());
-                match request.backend.open(scenario) {
-                    Ok(source) => group.push((i, Mutex::new(Some(source)))),
-                    // Open failures are environmental (a tape missing
-                    // *right now*, a directory briefly unwritable), not
-                    // deterministic properties of the request — finish
-                    // the job but keep the failure out of the result
-                    // cache so a fixed environment serves fresh runs.
-                    Err(e) => self.finish_uncached(
-                        *id,
-                        *submitted,
-                        FinishedJob {
-                            ok: false,
-                            cache_hit: false,
-                            body: request_failure_body(&format!("backend open failed: {e}")),
-                        },
-                    ),
-                }
-            }
-            if group.is_empty() {
-                continue;
-            }
-            let outcomes = fastvg_core::batch::BatchExtractor::new()
-                .with_jobs(self.jobs)
-                .run(extractor.as_ref(), group.len(), |k| {
-                    let source = group[k]
-                        .1
-                        .lock()
-                        .expect("source slot poisoned")
-                        .take()
-                        .expect("each job's source is taken exactly once");
-                    MeasurementSession::new(source)
-                });
-            for (k, outcome) in outcomes.into_iter().enumerate() {
-                let (id, request, submitted) = &batch[group[k].0];
-                let (finished, stages) = match outcome.outcome {
-                    Ok(report) => {
-                        let body = result_body(&report);
-                        (
-                            FinishedJob {
-                                ok: true,
-                                cache_hit: false,
-                                body,
-                            },
-                            Some(report.stages),
-                        )
+/// Spawns `jobs` long-lived extraction workers (`0` = one per core)
+/// over the shared queue, cache and metrics. Each takes one job at a
+/// time and runs it start to finish; all exit once [`JobQueue::stop`]
+/// has been called and the queue is drained. With a tracer, jobs
+/// carrying a [`JobRequest::trace`] context get queue-wait / prepare /
+/// extract / stage spans.
+pub(crate) fn spawn_workers(
+    jobs: usize,
+    queue: Arc<JobQueue>,
+    cache: Arc<ResultCache>,
+    metrics: Arc<Metrics>,
+    tracer: Option<Arc<Tracer>>,
+) -> Vec<JoinHandle<()>> {
+    let jobs = if jobs == 0 {
+        mini_rayon::available_workers()
+    } else {
+        jobs
+    };
+    let shared = Arc::new(Shared {
+        queue,
+        cache,
+        metrics,
+        tracer,
+    });
+    (0..jobs)
+        .map(|k| {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name(format!("fastvg-worker-{k}"))
+                .spawn(move || {
+                    while let Some((id, request, submitted)) = shared.queue.take() {
+                        run_job(&shared, id, &request, submitted);
                     }
-                    Err(error) => (
-                        FinishedJob {
-                            ok: false,
-                            cache_hit: false,
-                            body: failure_body(&error),
-                        },
-                        None,
-                    ),
-                };
-                self.trace_job(
-                    request,
-                    *submitted,
-                    dequeued,
-                    outcome.started,
-                    outcome.wall,
-                    stages.as_deref(),
-                );
-                self.finish(*id, request, *submitted, finished, stages.as_deref());
-            }
-        }
-    }
+                })
+                .expect("spawn extraction worker")
+        })
+        .collect()
+}
 
-    /// Mints the scheduler-side spans for one finished traced job:
-    /// `queue_wait` (submit → the scheduler dequeuing its batch),
-    /// `prepare` (dequeue → extraction start: scenario synthesis,
-    /// source open, and waiting for a batch worker) and `extract` (the
-    /// job's in-pipeline wall time). The three tile without overlap.
-    /// One child span per extraction stage is laid out sequentially
-    /// inside `extract`; stage spans are re-exported from the
-    /// Observer-derived [`StageTiming`]s each report carries — the
-    /// pipeline itself is not re-instrumented. Instants map to
-    /// wall-clock microseconds through one "now" reading.
-    fn trace_job(
-        &self,
-        request: &JobRequest,
-        submitted: Instant,
-        dequeued: Instant,
-        started: Instant,
-        wall: Duration,
-        stages: Option<&[fastvg_core::api::StageTiming]>,
-    ) {
-        let (Some(tracer), Some(ctx)) = (self.tracer.as_ref(), request.trace) else {
-            return;
-        };
-        let trace = TraceId(ctx.trace);
-        let parent = Some(SpanId(ctx.span));
-        let since_submit = |t: Instant| t.saturating_duration_since(submitted).as_micros() as u64;
-        let submit_us = fastvg_obs::unix_us().saturating_sub(since_submit(Instant::now()));
-        let queue_us = since_submit(dequeued);
-        let start_us = since_submit(started);
-        let extract_start_us = submit_us + start_us;
-        tracer.emit(trace, parent, "queue_wait", submit_us, queue_us, Vec::new());
-        tracer.emit(
-            trace,
-            parent,
-            "prepare",
-            submit_us + queue_us,
-            start_us - queue_us,
-            Vec::new(),
-        );
-        let extract = tracer.emit(
-            trace,
-            parent,
-            "extract",
-            extract_start_us,
-            wall.as_micros() as u64,
-            vec![("method", request.method.wire_name().to_string())],
-        );
-        let mut cursor = extract_start_us;
-        for timing in stages.unwrap_or(&[]) {
-            let dur = timing.elapsed.as_micros() as u64;
-            tracer.emit(
-                trace,
-                Some(extract),
-                timing.stage.name(),
-                cursor,
-                dur,
-                vec![("probes", timing.probes.to_string())],
-            );
-            cursor += dur;
-        }
-    }
-
-    fn finish(
-        &self,
-        id: u64,
-        request: &JobRequest,
-        submitted: Instant,
-        finished: FinishedJob,
-        stages: Option<&[fastvg_core::api::StageTiming]>,
-    ) {
-        if let Some(stages) = stages {
-            self.metrics.observe_stages(stages);
-        }
-        // Extraction and realization failures are cached too: they are
-        // as deterministic as results. (Environmental failures go
-        // through `finish_uncached` instead.)
-        self.cache.insert(
-            request.fingerprint,
-            &request.canonical,
-            crate::cache::CachedResult {
-                body: finished.body.clone(),
-                ok: finished.ok,
-            },
-        );
-        self.metrics.cache_entries.set(self.cache.len() as u64);
-        self.finish_uncached(id, submitted, finished);
-    }
-
-    /// [`Scheduler::finish`] without the cache insert — for failures
-    /// that depend on the daemon's environment rather than the request.
-    fn finish_uncached(&self, id: u64, submitted: Instant, finished: FinishedJob) {
-        if finished.ok {
-            self.metrics.jobs_completed.inc();
-        } else {
-            self.metrics.jobs_failed.inc();
-        }
-        self.metrics.job_latency.observe(submitted.elapsed());
-        self.queue.finish(id, finished);
+/// The extractor serving `method`, or `None` for a method the daemon
+/// cannot serve (`Method` is non-exhaustive).
+fn extractor_for(method: Method) -> Option<Box<dyn Extractor>> {
+    match method {
+        Method::FastExtraction => Some(Box::new(FastExtractor::new())),
+        Method::HoughBaseline => Some(Box::new(HoughBaseline::new())),
+        Method::TunedFast => Some(Box::new(TuningLoop::new())),
+        _ => None,
     }
 }
 
-/// Convenience used by tests and the `serve` example: runs one request
-/// synchronously through the same code path the scheduler uses
-/// (realize, open through the request's backend, erased extract,
-/// serialize), without a daemon.
-///
-/// # Errors
-///
-/// Returns the realization / backend-open error message for
-/// unrealizable scenarios.
-pub fn run_inline(request: &JobRequest) -> Result<Vec<u8>, String> {
-    let csd = request.scenario.realize()?;
-    let extractor: Box<dyn Extractor> = match request.method {
-        Method::FastExtraction => Box::new(FastExtractor::new()),
-        Method::HoughBaseline => Box::new(HoughBaseline::new()),
-        Method::TunedFast => Box::new(TuningLoop::new()),
-        other => return Err(format!("method {other} not servable")),
+/// When a job's extraction ran, for how long, and the stage timings of
+/// its report (empty when extraction failed).
+struct Extraction {
+    started: Instant,
+    wall: Duration,
+    stages: Vec<StageTiming>,
+}
+
+/// What running one job produced, before it is traced, cached and
+/// finished.
+struct Ran {
+    finished: FinishedJob,
+    /// Whether the outcome is a deterministic property of the request,
+    /// and so may be cached.
+    cacheable: bool,
+    /// `None` when the job failed before extraction started.
+    extraction: Option<Extraction>,
+}
+
+impl Ran {
+    fn failed(body: Vec<u8>, cacheable: bool) -> Self {
+        Self {
+            finished: FinishedJob {
+                ok: false,
+                cache_hit: false,
+                body,
+            },
+            cacheable,
+            extraction: None,
+        }
+    }
+}
+
+/// `run_job`'s pure part: realize → pick the extractor → open →
+/// extract → serialize. It touches none of the daemon's shared state
+/// (queue, cache, metrics).
+fn execute(id: u64, request: &JobRequest) -> Ran {
+    // Realization and method failures are as deterministic as results,
+    // so they are cached.
+    let csd = match request.scenario.realize() {
+        Ok(csd) => csd,
+        Err(message) => return Ran::failed(request_failure_body(&message), true),
+    };
+    let Some(extractor) = extractor_for(request.method) else {
+        let message = format!("method {} not servable", request.method);
+        return Ran::failed(request_failure_body(&message), true);
     };
     let scenario = SourceScenario::new(csd)
-        .with_label("inline")
+        .with_label(format!("job{id}"))
         .with_seed(request.scenario.seed());
-    let mut session = request
-        .backend
-        .session(scenario)
-        .map_err(|e| format!("backend open failed: {e}"))?;
-    Ok(match extract_with(extractor.as_ref(), &mut session) {
-        Ok(report) => result_body(&report),
-        Err(error) => failure_body(&error),
-    })
+    let mut session = match request.backend.session(scenario) {
+        Ok(session) => session,
+        // Open failures are environmental (a tape missing *right now*,
+        // a directory briefly unwritable), not deterministic properties
+        // of the request — keep them out of the result cache so a fixed
+        // environment serves fresh runs.
+        Err(e) => {
+            let message = format!("backend open failed: {e}");
+            return Ran::failed(request_failure_body(&message), false);
+        }
+    };
+    let started = Instant::now();
+    let outcome = extract_with(extractor.as_ref(), &mut session);
+    let wall = started.elapsed();
+    let (ok, body, stages) = match outcome {
+        Ok(report) => (true, result_body(&report), report.stages),
+        Err(error) => (false, failure_body(&error), Vec::new()),
+    };
+    Ran {
+        finished: FinishedJob {
+            ok,
+            cache_hit: false,
+            body,
+        },
+        cacheable: true,
+        extraction: Some(Extraction {
+            started,
+            wall,
+            stages,
+        }),
+    }
+}
+
+/// Runs one taken job start to finish — the daemon's only extraction
+/// path: [`execute`], then trace, cache, and [`JobQueue::finish`]. A
+/// panic inside `execute` is contained: the job finishes as an
+/// uncached failure with the reserved category `"internal"` and the
+/// worker keeps serving.
+fn run_job(shared: &Shared, id: u64, request: &JobRequest, submitted: Instant) {
+    let taken = Instant::now();
+    shared.metrics.jobs_running.inc();
+    let ran =
+        panic::catch_unwind(AssertUnwindSafe(|| execute(id, request))).unwrap_or_else(|payload| {
+            let reason = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("unknown panic");
+            let message = format!("job panicked: {reason}");
+            Ran::failed(reserved_failure_body("internal", &message), false)
+        });
+    if let Some(tracer) = &shared.tracer {
+        trace_job(tracer, request, submitted, taken, ran.extraction.as_ref());
+    }
+    let metrics = &shared.metrics;
+    if let Some(extraction) = &ran.extraction {
+        metrics.observe_stages(&extraction.stages);
+    }
+    if ran.cacheable {
+        shared.cache.insert(
+            request.fingerprint,
+            &request.canonical,
+            crate::cache::CachedResult {
+                body: ran.finished.body.clone(),
+                ok: ran.finished.ok,
+            },
+        );
+        metrics.cache_entries.set(shared.cache.len() as u64);
+    }
+    if ran.finished.ok {
+        metrics.jobs_completed.inc();
+    } else {
+        metrics.jobs_failed.inc();
+    }
+    metrics.job_latency.observe(submitted.elapsed());
+    // Released before `finish` wakes anyone, so a waiter that sees the
+    // job finished never sees it still counted as running.
+    metrics.jobs_running.dec();
+    shared.queue.finish(id, ran.finished);
+}
+
+/// Mints the worker-side spans for one traced job: `queue_wait`
+/// (submit → a worker taking the job), `prepare` (take → extraction
+/// start: scenario synthesis and source open; up to now for a job that
+/// failed before extracting) and `extract` (the extraction wall time).
+/// The three tile without overlap. One child span per extraction stage
+/// is laid out sequentially inside `extract`; stage spans are
+/// re-exported from the Observer-derived [`StageTiming`]s each report
+/// carries — the pipeline itself is not re-instrumented. Instants map
+/// to wall-clock microseconds through one "now" reading.
+fn trace_job(
+    tracer: &Tracer,
+    request: &JobRequest,
+    submitted: Instant,
+    taken: Instant,
+    extraction: Option<&Extraction>,
+) {
+    let Some(ctx) = request.trace else {
+        return;
+    };
+    let trace = TraceId(ctx.trace);
+    let parent = Some(SpanId(ctx.span));
+    let now = Instant::now();
+    let since_submit = |t: Instant| t.saturating_duration_since(submitted).as_micros() as u64;
+    let submit_us = fastvg_obs::unix_us().saturating_sub(since_submit(now));
+    let queue_us = since_submit(taken);
+    let start_us = since_submit(extraction.map_or(now, |e| e.started));
+    tracer.emit(trace, parent, "queue_wait", submit_us, queue_us, Vec::new());
+    tracer.emit(
+        trace,
+        parent,
+        "prepare",
+        submit_us + queue_us,
+        start_us.saturating_sub(queue_us),
+        Vec::new(),
+    );
+    let Some(extraction) = extraction else {
+        return;
+    };
+    let extract_start_us = submit_us + start_us;
+    let extract = tracer.emit(
+        trace,
+        parent,
+        "extract",
+        extract_start_us,
+        extraction.wall.as_micros() as u64,
+        vec![("method", request.method.wire_name().to_string())],
+    );
+    let mut cursor = extract_start_us;
+    for timing in &extraction.stages {
+        let dur = timing.elapsed.as_micros() as u64;
+        tracer.emit(
+            trace,
+            Some(extract),
+            timing.stage.name(),
+            cursor,
+            dur,
+            vec![("probes", timing.probes.to_string())],
+        );
+        cursor += dur;
+    }
 }
 
 #[cfg(test)]
@@ -793,9 +724,8 @@ mod tests {
         let b = q.submit(request(2)).unwrap();
         assert_eq!(q.submit(request(3)).unwrap_err(), QueueFull);
         assert_eq!(q.depth(), 2);
-        let batch = q.take_batch(8).unwrap();
-        let ids: Vec<u64> = batch.iter().map(|(id, _, _)| *id).collect();
-        assert_eq!(ids, vec![a, b], "arrival order preserved");
+        let ids = [q.take().unwrap().0, q.take().unwrap().0];
+        assert_eq!(ids, [a, b], "arrival order preserved");
         assert_eq!(q.depth(), 0);
         assert!(matches!(q.status(a), Some(JobState::Running)));
     }
@@ -808,9 +738,9 @@ mod tests {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.wait_finished(id, Duration::from_secs(5)))
         };
-        let batch = q.take_batch(1).unwrap();
+        let (taken, _, _) = q.take().unwrap();
         q.finish(
-            batch[0].0,
+            taken,
             FinishedJob {
                 ok: true,
                 cache_hit: false,
@@ -831,7 +761,7 @@ mod tests {
 
         let blocked = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.take_batch(4))
+            std::thread::spawn(move || q.take())
         };
         let waiter = {
             let q = Arc::clone(&q);
@@ -839,11 +769,11 @@ mod tests {
         };
         // Unknown job id returns immediately.
         assert!(waiter.join().unwrap().is_none());
-        // take_batch first drains the one pending job…
+        // take first drains the one pending job…
         assert!(blocked.join().unwrap().is_some());
         // …then stop() makes the next take return None.
         q.stop();
-        assert!(q.take_batch(4).is_none());
+        assert!(q.take().is_none());
     }
 
     #[test]
@@ -861,9 +791,9 @@ mod tests {
         let id = q.submit(request(11)).unwrap();
         q.on_finished(id, record("pending"));
         assert!(outcomes.lock().unwrap().is_empty(), "not fired yet");
-        let batch = q.take_batch(1).unwrap();
+        let (taken, _, _) = q.take().unwrap();
         q.finish(
-            batch[0].0,
+            taken,
             FinishedJob {
                 ok: true,
                 cache_hit: false,
@@ -910,27 +840,115 @@ mod tests {
         assert!(q.status(first).is_none(), "oldest finished job evicted");
     }
 
-    #[test]
-    fn scheduler_drains_and_caches() {
-        let queue = Arc::new(JobQueue::new(16, 64));
-        let cache = Arc::new(ResultCache::new(CacheConfig::default()));
-        let metrics = Arc::new(Metrics::default());
-        let scheduler = Scheduler::new(
-            Arc::clone(&queue),
-            Arc::clone(&cache),
-            Arc::clone(&metrics),
-            2,
-            8,
-        );
-        let handle = std::thread::spawn(move || scheduler.run());
+    /// A running set of workers over fresh shared state.
+    struct Daemon {
+        queue: Arc<JobQueue>,
+        cache: Arc<ResultCache>,
+        metrics: Arc<Metrics>,
+        workers: Vec<JoinHandle<()>>,
+    }
 
+    impl Daemon {
+        fn start(jobs: usize) -> Self {
+            let queue = Arc::new(JobQueue::new(16, 64));
+            let cache = Arc::new(ResultCache::new(CacheConfig::default()));
+            let metrics = Arc::new(Metrics::default());
+            let workers = spawn_workers(
+                jobs,
+                Arc::clone(&queue),
+                Arc::clone(&cache),
+                Arc::clone(&metrics),
+                None,
+            );
+            Self {
+                queue,
+                cache,
+                metrics,
+                workers,
+            }
+        }
+
+        fn run(&self, request: JobRequest) -> FinishedJob {
+            let id = self.queue.submit(request).unwrap();
+            self.queue
+                .wait_finished(id, Duration::from_secs(60))
+                .expect("job finishes")
+        }
+
+        fn stop(self) {
+            self.queue.stop();
+            for worker in self.workers {
+                worker.join().unwrap();
+            }
+        }
+    }
+
+    /// A test backend whose `open` misbehaves on cue.
+    enum Misbehaving {
+        Panics,
+        Fails,
+        /// Signals `entered`, then blocks until `release` fires.
+        Blocks {
+            entered: Mutex<std::sync::mpsc::Sender<()>>,
+            release: Mutex<std::sync::mpsc::Receiver<()>>,
+        },
+    }
+
+    impl SourceBackend for Misbehaving {
+        fn scheme(&self) -> &str {
+            "test"
+        }
+
+        fn describe(&self) -> String {
+            "test".to_string()
+        }
+
+        fn open(
+            &self,
+            scenario: SourceScenario,
+        ) -> Result<qd_instrument::BoxedSource, qd_instrument::BackendError> {
+            match self {
+                Misbehaving::Panics => panic!("test backend panics on open"),
+                Misbehaving::Fails => Err(qd_instrument::BackendError::InvalidSpec {
+                    message: "test backend refuses to open".into(),
+                }),
+                Misbehaving::Blocks { entered, release } => {
+                    entered.lock().unwrap().send(()).unwrap();
+                    release.lock().unwrap().recv().unwrap();
+                    qd_instrument::SimBackend.open(scenario)
+                }
+            }
+        }
+    }
+
+    fn through(seed: u64, backend: Misbehaving) -> JobRequest {
+        JobRequest {
+            backend: Arc::new(backend),
+            ..request(seed)
+        }
+    }
+
+    fn category(finished: &FinishedJob) -> String {
+        let doc = Json::parse(std::str::from_utf8(&finished.body).unwrap().trim()).unwrap();
+        let error = doc.get("error").expect("failure document");
+        error
+            .get("category")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string()
+    }
+
+    #[test]
+    fn workers_drain_and_cache() {
+        let daemon = Daemon::start(2);
         let ids: Vec<u64> = (0..3)
-            .map(|k| queue.submit(request(100 + k)).unwrap())
+            .map(|k| daemon.queue.submit(request(100 + k)).unwrap())
             .collect();
         let outcomes: Vec<FinishedJob> = ids
             .iter()
             .map(|&id| {
-                queue
+                daemon
+                    .queue
                     .wait_finished(id, Duration::from_secs(60))
                     .expect("job finishes")
             })
@@ -939,28 +957,27 @@ mod tests {
             assert!(outcome.ok, "clean spec must extract");
             assert!(outcome.body.ends_with(b"\n"), "newline framing");
         }
-        assert_eq!(metrics.jobs_completed.get(), 3);
-        assert_eq!(cache.len(), 3, "every outcome cached");
+        assert_eq!(daemon.metrics.jobs_completed.get(), 3);
+        assert_eq!(daemon.metrics.jobs_running.get(), 0);
+        assert_eq!(daemon.cache.len(), 3, "every outcome cached");
 
         // The cache now replays the exact bytes, outcome attached.
         let req = request(100);
-        let cached = cache.get(req.fingerprint, &req.canonical).unwrap();
+        let cached = daemon.cache.get(req.fingerprint, &req.canonical).unwrap();
         assert_eq!(cached.body, outcomes[0].body);
         assert!(cached.ok);
-
-        queue.stop();
-        handle.join().unwrap();
+        daemon.stop();
     }
 
     #[test]
-    fn inline_runner_matches_scheduler_bytes_except_timing() {
-        // Same request through run_inline twice: slopes identical
+    fn execute_is_deterministic_except_timing() {
+        // Same request through the pure part twice: slopes identical
         // (timing fields differ, so compare the parsed reports).
         let req = request(5);
-        let a = run_inline(&req).unwrap();
-        let b = run_inline(&req).unwrap();
-        let parse = |bytes: &[u8]| {
-            let doc = Json::parse(std::str::from_utf8(bytes).unwrap().trim()).unwrap();
+        let (a, b) = (execute(1, &req), execute(2, &req));
+        let parse = |ran: &Ran| {
+            assert!(ran.cacheable && ran.extraction.is_some());
+            let doc = Json::parse(std::str::from_utf8(&ran.finished.body).unwrap().trim()).unwrap();
             assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
             ExtractionReport::from_json(doc.get("report").unwrap()).unwrap()
         };
@@ -972,41 +989,91 @@ mod tests {
 
     #[test]
     fn unrealizable_scenarios_fail_with_request_category() {
-        let queue = Arc::new(JobQueue::new(4, 16));
-        let cache = Arc::new(ResultCache::new(CacheConfig::default()));
-        let metrics = Arc::new(Metrics::default());
-
+        let daemon = Daemon::start(1);
         // A spec the generator rejects: lever arms that make the device
         // model singular.
         let mut spec = BenchmarkSpec::clean(0, 64);
         spec.lever_arms = [[0.01, 0.01], [0.01, 0.01]];
         let canonical = spec.to_json().canonical();
-        let id = queue
-            .submit(JobRequest {
-                fingerprint: fastvg_wire::fnv1a64(canonical.as_bytes()),
-                canonical,
-                scenario: Scenario::Spec(spec),
-                method: Method::FastExtraction,
-                backend: Arc::new(qd_instrument::SimBackend),
-                trace: None,
-            })
-            .unwrap();
-
-        let scheduler = Scheduler::new(Arc::clone(&queue), cache, Arc::clone(&metrics), 1, 4);
-        let handle = std::thread::spawn(move || scheduler.run());
-        let finished = queue
-            .wait_finished(id, Duration::from_secs(30))
-            .expect("finishes");
+        let req = JobRequest {
+            fingerprint: fastvg_wire::fnv1a64(canonical.as_bytes()),
+            canonical,
+            scenario: Scenario::Spec(spec),
+            ..request(0)
+        };
+        let finished = daemon.run(req.clone());
         assert!(!finished.ok);
-        let doc = Json::parse(std::str::from_utf8(&finished.body).unwrap().trim()).unwrap();
-        assert_eq!(
-            doc.get("error")
-                .and_then(|e| e.get("category"))
-                .and_then(Json::as_str),
-            Some("request")
+        assert_eq!(category(&finished), "request");
+        assert_eq!(daemon.metrics.jobs_failed.get(), 1);
+        assert_eq!(daemon.metrics.jobs_running.get(), 0);
+        assert!(
+            daemon.cache.get(req.fingerprint, &req.canonical).is_some(),
+            "realization failures are deterministic, so cached"
         );
-        assert_eq!(metrics.jobs_failed.get(), 1);
-        queue.stop();
-        handle.join().unwrap();
+        daemon.stop();
+    }
+
+    #[test]
+    fn open_failures_finish_uncached() {
+        let daemon = Daemon::start(1);
+        let req = through(21, Misbehaving::Fails);
+        let finished = daemon.run(req.clone());
+        assert!(!finished.ok);
+        assert_eq!(category(&finished), "request");
+        assert_eq!(daemon.metrics.jobs_running.get(), 0);
+        assert!(daemon.cache.get(req.fingerprint, &req.canonical).is_none());
+        daemon.stop();
+    }
+
+    #[test]
+    fn a_panicking_job_finishes_internal_and_the_worker_keeps_serving() {
+        let daemon = Daemon::start(1);
+        let req = through(31, Misbehaving::Panics);
+        let finished = daemon.run(req.clone());
+        assert!(!finished.ok);
+        assert_eq!(category(&finished), "internal");
+        assert_eq!(daemon.metrics.jobs_running.get(), 0);
+        assert!(
+            daemon.cache.get(req.fingerprint, &req.canonical).is_none(),
+            "a panic is not a property of the request"
+        );
+        // The only worker survived and serves the next job.
+        assert!(daemon.run(request(32)).ok);
+        assert_eq!(daemon.metrics.jobs_running.get(), 0);
+        daemon.stop();
+    }
+
+    #[test]
+    fn a_blocked_job_does_not_hold_back_later_jobs() {
+        let daemon = Daemon::start(2);
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let a = daemon
+            .queue
+            .submit(through(
+                41,
+                Misbehaving::Blocks {
+                    entered: Mutex::new(entered_tx),
+                    release: Mutex::new(release_rx),
+                },
+            ))
+            .unwrap();
+        entered
+            .recv_timeout(Duration::from_secs(60))
+            .expect("job A reaches open");
+
+        // B finishes on the other worker while A is still inside open.
+        assert!(daemon.run(request(42)).ok);
+        assert!(matches!(daemon.queue.status(a), Some(JobState::Running)));
+        assert_eq!(daemon.metrics.jobs_running.get(), 1);
+
+        release.send(()).unwrap();
+        let finished = daemon
+            .queue
+            .wait_finished(a, Duration::from_secs(60))
+            .expect("A finishes once released");
+        assert!(finished.ok);
+        assert_eq!(daemon.metrics.jobs_running.get(), 0);
+        daemon.stop();
     }
 }

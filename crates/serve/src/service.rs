@@ -5,7 +5,7 @@
 //! `docs/PROTOCOL.md` (`POST /extract`, `GET /jobs/<id>`,
 //! `GET /healthz`, `GET /metrics`, plus the administrative
 //! `POST /shutdown`). [`start`] assembles the full daemon: HTTP server,
-//! scheduler thread, result cache and metrics, returned as a
+//! extraction workers, result cache and metrics, returned as a
 //! [`ServiceHandle`] whose [`ServiceHandle::shutdown`] /
 //! [`ServiceHandle::join`] implement the graceful stop.
 //!
@@ -21,7 +21,9 @@ use crate::http::{
     ShutdownHandle,
 };
 use crate::metrics::Metrics;
-use crate::queue::{FinishedJob, JobQueue, JobRequest, JobState, Scenario, Scheduler};
+use crate::queue::{
+    request_failure_body, spawn_workers, FinishedJob, JobQueue, JobRequest, JobState, Scenario,
+};
 use fastvg_core::report::Method;
 use fastvg_obs::{ActiveSpan, FlusherHandle, SpanId, TraceId, Tracer};
 use fastvg_wire::{request_canonical, request_fingerprint, Json, TraceContext, TRACE_HEADER};
@@ -60,8 +62,6 @@ pub struct ServeConfig {
     pub extract_jobs: usize,
     /// Maximum pending jobs before `POST /extract` answers 503.
     pub queue_capacity: usize,
-    /// Maximum jobs the scheduler drains per wakeup.
-    pub batch_max: usize,
     /// Result-cache sizing.
     pub cache: CacheConfig,
     /// Maximum request body bytes (inline grids are the big ones).
@@ -108,7 +108,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:8737".to_string(),
             extract_jobs: 0,
             queue_capacity: 256,
-            batch_max: 32,
             cache: CacheConfig::default(),
             max_body_bytes: 8 * 1024 * 1024,
             wait_timeout: Duration::from_secs(60),
@@ -173,7 +172,6 @@ impl ServeConfig {
             ));
         }
         bounded("queue_capacity", self.queue_capacity, 1..=1_000_000)?;
-        bounded("batch_max", self.batch_max, 1..=4096)?;
         bounded("extract_jobs", self.extract_jobs, 0..=1024)?;
         bounded("max_body_bytes", self.max_body_bytes, 1..=(1 << 30))?;
         bounded("max_connections", self.max_connections, 1..=1_000_000)?;
@@ -217,12 +215,6 @@ impl ServeConfigBuilder {
     /// Maximum pending jobs before `POST /extract` answers 503.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.config.queue_capacity = capacity;
-        self
-    }
-
-    /// Maximum jobs the scheduler drains per wakeup.
-    pub fn batch_max(mut self, batch: usize) -> Self {
-        self.config.batch_max = batch;
         self
     }
 
@@ -622,7 +614,7 @@ impl ExtractService {
         })
     }
 
-    /// The service telemetry (shared with the scheduler).
+    /// The service telemetry (shared with the extraction workers).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
@@ -639,20 +631,7 @@ impl ExtractService {
         } else {
             self.metrics.http_4xx.inc();
         }
-        let mut body = Json::object()
-            .field("ok", false)
-            .field(
-                "error",
-                Json::object()
-                    .field("category", "request")
-                    .field("message", rejection.message.as_str())
-                    .field("chain", Vec::<Json>::new())
-                    .build(),
-            )
-            .build()
-            .dump();
-        body.push('\n');
-        Response::json(rejection.status, body)
+        Response::json(rejection.status, request_failure_body(&rejection.message))
     }
 }
 
@@ -893,7 +872,6 @@ impl ExtractService {
             }
         };
         self.metrics.jobs_submitted.inc();
-        self.metrics.queue_depth.set(self.queue.depth() as u64);
 
         if !wait {
             // The job's queue-wait/prepare/extract spans still parent to
@@ -999,6 +977,7 @@ impl ExtractService {
 
     fn handle_metrics(&self) -> Response {
         self.metrics.requests_metrics.inc();
+        self.metrics.queue_depth.set(self.queue.depth() as u64);
         let mut text = self.metrics.render();
         crate::metrics::render_build_info(&mut text, env!("CARGO_PKG_VERSION"), env!("FASTVG_GIT"));
         crate::metrics::family(
@@ -1287,12 +1266,12 @@ fn grid_canonical_json(csd: &Csd) -> Json {
         .build()
 }
 
-/// A running daemon: HTTP server + scheduler + shared state.
+/// A running daemon: HTTP server + extraction workers + shared state.
 #[derive(Debug)]
 pub struct ServiceHandle {
     service: Arc<ExtractService>,
     server: HttpServer,
-    scheduler: Option<std::thread::JoinHandle<()>>,
+    workers: Vec<std::thread::JoinHandle<()>>,
     /// Keeps the trace flusher thread alive for the daemon's lifetime;
     /// dropping the handle (when the daemon is torn down) performs the
     /// final flush to `--trace-out`.
@@ -1320,18 +1299,19 @@ impl ServiceHandle {
         self.server.shutdown_handle()
     }
 
-    /// Requests a graceful stop: the queue drains no further, in-flight
-    /// requests finish, the acceptor closes.
+    /// Requests a graceful stop: the queue admits no further jobs, the
+    /// workers drain what is queued, in-flight requests finish, the
+    /// acceptor closes.
     pub fn shutdown(&self) {
         self.service.queue.stop();
         self.server.shutdown_handle().shutdown();
     }
 
-    /// Waits for the scheduler and the reactor to exit. Call
+    /// Waits for the workers and the reactor to exit. Call
     /// [`ServiceHandle::shutdown`] first (or let `POST /shutdown` do it).
     pub fn join(mut self) {
-        if let Some(scheduler) = self.scheduler.take() {
-            let _ = scheduler.join();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
         self.server.join();
         // Stop the flusher last so spans minted during drain still land
@@ -1352,7 +1332,7 @@ pub fn start(config: ServeConfig) -> Result<ServiceHandle, ServeError> {
     config.validate()?;
     let service = Arc::new(ExtractService::new(&config)?);
 
-    // Bind before spawning the scheduler so a bind failure leaks nothing.
+    // Bind before spawning the workers so a bind failure leaks nothing.
     let http = HttpConfig {
         max_connections: config.max_connections,
         max_body_bytes: config.max_body_bytes,
@@ -1365,15 +1345,13 @@ pub fn start(config: ServeConfig) -> Result<ServiceHandle, ServeError> {
     let _ = service.shutdown.set(server.shutdown_handle());
     let _ = service.server_stats.set(server.stats());
 
-    let scheduler = Scheduler::new(
+    let workers = spawn_workers(
+        config.extract_jobs,
         Arc::clone(&service.queue),
         Arc::clone(&service.cache),
         Arc::clone(&service.metrics),
-        config.extract_jobs,
-        config.batch_max,
-    )
-    .with_tracer(Arc::clone(&service.tracer));
-    let scheduler = std::thread::spawn(move || scheduler.run());
+        Some(Arc::clone(&service.tracer)),
+    );
 
     // A background flusher is only worth a thread when spans leave the
     // process; `/trace/recent` drains the collector on demand otherwise.
@@ -1385,7 +1363,7 @@ pub fn start(config: ServeConfig) -> Result<ServiceHandle, ServeError> {
     Ok(ServiceHandle {
         service,
         server,
-        scheduler: Some(scheduler),
+        workers,
         flusher,
     })
 }
@@ -1400,7 +1378,6 @@ mod tests {
             .addr("127.0.0.1:0")
             .extract_jobs(2)
             .queue_capacity(64)
-            .batch_max(8)
             .max_connections(512)
             .wait_timeout(Duration::from_secs(5))
             .request_read_deadline(Duration::from_secs(10))
@@ -1412,10 +1389,9 @@ mod tests {
         assert_eq!(config.max_connections, 512);
         assert_eq!(config.backend, "throttled:1ms");
 
-        let hostile: [(&str, ServeConfigBuilder); 6] = [
+        let hostile: [(&str, ServeConfigBuilder); 5] = [
             ("addr", ServeConfig::builder().addr("")),
             ("queue_capacity", ServeConfig::builder().queue_capacity(0)),
-            ("batch_max", ServeConfig::builder().batch_max(1 << 20)),
             ("max_connections", ServeConfig::builder().max_connections(0)),
             (
                 "wait_timeout",

@@ -25,6 +25,14 @@ fn duplicate_spec_options_are_rejected_by_name() {
     };
     duplicate("hwsim:nominal,xt=0.1,xt=0.9", "hwsim", "xt");
     duplicate("hwsim:aged,dead=0.05,bits=12,dead=0.01", "hwsim", "dead");
-    duplicate("throttled:1ms+hwsim:nominal,bits=12,bits=10", "hwsim", "bits");
-    duplicate("throttled:1ms+hwsim:aged,dead=0.05,xt=0.1,dead=0.01", "hwsim", "dead");
+    duplicate(
+        "throttled:1ms+hwsim:nominal,bits=12,bits=10",
+        "hwsim",
+        "bits",
+    );
+    duplicate(
+        "throttled:1ms+hwsim:aged,dead=0.05,xt=0.1,dead=0.01",
+        "hwsim",
+        "dead",
+    );
 }
