@@ -517,7 +517,7 @@ fn remote_check(addr: &str, record_tape: Option<&std::path::Path>) {
     use fastvg_core::api::{ExtractionReport, Extractor, Pipeline};
     use fastvg_core::batch::BatchExtractor;
     use fastvg_serve::RemoteExtractor;
-    use qd_instrument::{ReplayMode, SimBackend, SourceBackend, SourceScenario};
+    use qd_instrument::{SimBackend, SourceBackend, SourceScenario};
     use std::sync::Arc;
 
     let bench = qd_dataset::paper_benchmark(6).expect("paper benchmark 6");
@@ -579,7 +579,7 @@ fn remote_check(addr: &str, record_tape: Option<&std::path::Path>) {
     );
 
     if let Some(path) = record_tape {
-        let replay = qd_instrument::ReplayBackend::new(path, ReplayMode::Strict);
+        let replay = qd_instrument::ReplayBackend::new(path);
         let replayed = run_one(&Pipeline::fast().build(), &replay);
         assert_eq!(replayed.slope_h.to_bits(), local.slope_h.to_bits());
         assert_eq!(replayed.slope_v.to_bits(), local.slope_v.to_bits());

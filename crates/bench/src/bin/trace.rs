@@ -15,9 +15,15 @@
 //! * `FILE...` — newline-JSON span files (the `--trace-out` output of
 //!   `fastvg-serve`, `fastvg-router` and `fastvg-loadgen`), merged into
 //!   one span set before grouping by trace id.
-//! * `--gate` — exit non-zero unless every trace is a *connected
-//!   single-root waterfall*: exactly one root span (no parent) and
-//!   zero orphans (every parent id resolves inside the trace).
+//! * `--gate` — exit non-zero on an empty input, or unless every trace
+//!   is a *connected single-root waterfall*: exactly one root span (no
+//!   parent) and zero orphans (every parent id resolves inside the
+//!   trace). When the input holds `client`-layer spans, every trace
+//!   must also be rooted at a client span and reach every layer present
+//!   in the input — except that a hot trace (answered from a cache on
+//!   the way) need not reach the layers below the hop that answered it.
+//!   So a hop that stops forwarding `x-fastvg-trace` fails the gate:
+//!   the next hop roots traces of its own.
 //! * `--top N` — print the N slowest waterfalls (default 3; `0`
 //!   silences them).
 //! * `--out PATH-OR-DIR` — write `BENCH_trace_breakdown.json` (a
@@ -133,17 +139,56 @@ fn connectivity(spans: &[SpanRec]) -> Connectivity {
     Connectivity { roots, orphans }
 }
 
-/// `--gate`: every trace must be a single-root, zero-orphan waterfall.
+/// Whether a request was answered from a cache anywhere along its path
+/// (a daemon-local hit or a router relay of a shard's cached answer).
+fn is_hot(spans: &[SpanRec]) -> bool {
+    spans.iter().any(|s| {
+        s.name == "request" && matches!(s.attr("outcome"), Some("cache_hit") | Some("peer_hit"))
+    })
+}
+
+/// `--gate`: the input must hold at least one trace, and every trace
+/// must be a single-root, zero-orphan waterfall. In a client-driven
+/// input (any `client`-layer span), every trace must also be rooted at
+/// the client and — unless it is hot — hold a span from every layer in
+/// the input.
 fn gate(traces: &BTreeMap<u64, Vec<SpanRec>>) -> bool {
+    if traces.is_empty() {
+        eprintln!("gate: the input holds no traces");
+        return false;
+    }
+    let layers: std::collections::BTreeSet<&str> = traces
+        .values()
+        .flatten()
+        .map(|s| s.layer.as_str())
+        .collect();
+    let client_driven = layers.contains("client");
     let mut ok = true;
     for (trace, spans) in traces {
+        let mut problems = Vec::new();
         let c = connectivity(spans);
         if c.roots != 1 || c.orphans != 0 {
+            problems.push(format!("{} roots, {} orphans", c.roots, c.orphans));
+        }
+        if client_driven {
+            for root in spans.iter().filter(|s| s.parent.is_none()) {
+                if root.layer != "client" {
+                    problems.push(format!("rooted at a {} span", root.layer));
+                }
+            }
+            if !is_hot(spans) {
+                for layer in &layers {
+                    if !spans.iter().any(|s| s.layer == *layer) {
+                        problems.push(format!("no {layer} span"));
+                    }
+                }
+            }
+        }
+        if !problems.is_empty() {
             eprintln!(
-                "gate: trace {trace:016x} is not a connected waterfall \
-                 ({} roots, {} orphans, {} spans)",
-                c.roots,
-                c.orphans,
+                "gate: trace {trace:016x} is not a connected client-rooted waterfall \
+                 ({}; {} spans)",
+                problems.join(", "),
                 spans.len()
             );
             ok = false;
@@ -226,11 +271,7 @@ fn breakdown(spans: &[SpanRec]) -> Breakdown {
     let proxy = router.map_or(0, |r| r.saturating_sub(daemon.unwrap_or(0)));
     let inner = router.or(daemon).unwrap_or(0);
     let residual = client.map_or(0, |c| c.saturating_sub(inner));
-    // Hot = the request was answered from a cache anywhere along the
-    // path (daemon-local hit or a router peer relay).
-    let hot = spans.iter().any(|s| {
-        s.name == "request" && matches!(s.attr("outcome"), Some("cache_hit") | Some("peer_hit"))
-    });
+    let hot = is_hot(spans);
     Breakdown {
         client_us: client.unwrap_or(0),
         queue_wait_us: queue_wait,
@@ -584,5 +625,87 @@ fn main() {
     }
     if do_gate && !gate(&traces) {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn span(trace: u64, id: u64, parent: Option<u64>, layer: &str, name: &str) -> SpanRec {
+        SpanRec {
+            trace,
+            span: id,
+            parent,
+            layer: layer.to_string(),
+            name: name.to_string(),
+            start_us: 0,
+            dur_us: 1,
+            attrs: BTreeMap::new(),
+        }
+    }
+
+    fn traces(spans: Vec<SpanRec>) -> BTreeMap<u64, Vec<SpanRec>> {
+        let mut traces: BTreeMap<u64, Vec<SpanRec>> = BTreeMap::new();
+        for s in spans {
+            traces.entry(s.trace).or_default().push(s);
+        }
+        traces
+    }
+
+    /// One client → router → daemon request, every hop propagating.
+    fn connected(trace: u64) -> Vec<SpanRec> {
+        vec![
+            span(trace, 1, None, "client", "request"),
+            span(trace, 2, Some(1), "router", "request"),
+            span(trace, 3, Some(2), "router", "proxy_attempt"),
+            span(trace, 4, Some(3), "daemon", "request"),
+            span(trace, 5, Some(4), "daemon", "extract"),
+        ]
+    }
+
+    #[test]
+    fn connected_client_router_daemon_traces_pass() {
+        let mut spans = connected(0xa);
+        spans.extend(connected(0xb));
+        assert!(gate(&traces(spans)));
+    }
+
+    #[test]
+    fn a_daemon_rooting_its_own_trace_fails() {
+        // The router stopped forwarding x-fastvg-trace: the client's
+        // trace ends at the router, and the daemon (exporting every
+        // request) rooted a second trace for the same request. Each
+        // trace alone is a connected single-root waterfall.
+        let spans = vec![
+            span(0xa, 1, None, "client", "request"),
+            span(0xa, 2, Some(1), "router", "request"),
+            span(0xa, 3, Some(2), "router", "proxy_attempt"),
+            span(0xd, 4, None, "daemon", "request"),
+            span(0xd, 5, Some(4), "daemon", "extract"),
+        ];
+        let traces = traces(spans);
+        for spans in traces.values() {
+            let c = connectivity(spans);
+            assert_eq!((c.roots, c.orphans), (1, 0));
+        }
+        assert!(!gate(&traces));
+    }
+
+    #[test]
+    fn an_empty_input_fails() {
+        assert!(!gate(&BTreeMap::new()));
+    }
+
+    #[test]
+    fn hot_traces_answered_upstream_need_not_reach_the_daemon() {
+        let mut spans = connected(0xa);
+        let mut router = span(0xb, 2, Some(1), "router", "request");
+        router
+            .attrs
+            .insert("outcome".to_string(), "cache_hit".to_string());
+        spans.push(span(0xb, 1, None, "client", "request"));
+        spans.push(router);
+        assert!(gate(&traces(spans)));
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! # Batch execution
 //!
-//! All suite-level harnesses go through [`run_method`] / [`run_suite`],
+//! All suite-level harnesses go through [`run_method_on`] / [`run_suite`],
 //! which fan the benchmarks out over a
 //! [`fastvg_core::batch::BatchExtractor`]. Results are bit-identical for
 //! every `--jobs` value (the scoring below never depends on execution
@@ -67,7 +67,7 @@ pub fn resolve_backend(spec: &str) -> Arc<dyn SourceBackend> {
 /// The backend scenario for one benchmark: its diagram, its generation
 /// seed, and a `bench<NN>-<method>` label so `{label}` tape templates
 /// fan out per benchmark and per method.
-pub fn scenario_for(bench: &GeneratedBenchmark, method: Method) -> SourceScenario {
+fn scenario_for(bench: &GeneratedBenchmark, method: Method) -> SourceScenario {
     SourceScenario::new(bench.csd.clone())
         .with_label(format!(
             "bench{:02}-{}",
@@ -170,27 +170,11 @@ pub fn score(
     }
 }
 
-/// Runs one extraction method over a benchmark suite with up to `jobs`
-/// concurrent sessions and scores each outcome — the single code path
-/// behind every per-method harness (no per-method dispatch needed).
-/// Probes the benchmarks directly (the `sim` backend).
-pub fn run_method(
-    extractor: &dyn Extractor,
-    benches: &[GeneratedBenchmark],
-    criteria: &SuccessCriteria,
-    jobs: usize,
-) -> Vec<MethodRun> {
-    run_method_on(
-        &qd_instrument::SimBackend,
-        extractor,
-        benches,
-        criteria,
-        jobs,
-    )
-}
-
-/// [`run_method`] through a runtime-selected [`SourceBackend`] — what
-/// the harnesses' shared `--backend` flag feeds.
+/// Runs one extraction method over a benchmark suite through a
+/// runtime-selected [`SourceBackend`] (what the harnesses' shared
+/// `--backend` flag feeds) with up to `jobs` concurrent sessions, and
+/// scores each outcome — the single code path behind every per-method
+/// harness (no per-method dispatch needed).
 pub fn run_method_on(
     backend: &dyn SourceBackend,
     extractor: &dyn Extractor,
@@ -198,23 +182,7 @@ pub fn run_method_on(
     criteria: &SuccessCriteria,
     jobs: usize,
 ) -> Vec<MethodRun> {
-    run_method_with(
-        &BatchExtractor::new().with_jobs(jobs),
-        backend,
-        extractor,
-        benches,
-        criteria,
-    )
-}
-
-/// [`run_method_on`] with a caller-configured [`BatchExtractor`].
-pub fn run_method_with(
-    runner: &BatchExtractor,
-    backend: &dyn SourceBackend,
-    extractor: &dyn Extractor,
-    benches: &[GeneratedBenchmark],
-    criteria: &SuccessCriteria,
-) -> Vec<MethodRun> {
+    let runner = BatchExtractor::new().with_jobs(jobs);
     let outcomes = runner.run(extractor, benches.len(), |i| {
         session_on(backend, &benches[i], extractor.method())
     });
@@ -227,19 +195,9 @@ pub fn run_method_with(
 
 /// Runs the fast extraction on a single benchmark and scores it.
 pub fn run_fast(bench: &GeneratedBenchmark, criteria: &SuccessCriteria) -> MethodRun {
-    let mut runs = run_method(
+    let mut runs = run_method_on(
+        &qd_instrument::SimBackend,
         &FastExtractor::new(),
-        std::slice::from_ref(bench),
-        criteria,
-        1,
-    );
-    runs.remove(0)
-}
-
-/// Runs the Hough baseline on a single benchmark and scores it.
-pub fn run_baseline(bench: &GeneratedBenchmark, criteria: &SuccessCriteria) -> MethodRun {
-    let mut runs = run_method(
-        &HoughBaseline::new(),
         std::slice::from_ref(bench),
         criteria,
         1,
@@ -265,24 +223,8 @@ pub fn run_suite_on(
     criteria: &SuccessCriteria,
     jobs: usize,
 ) -> Vec<SuiteRun> {
-    run_suite_with(
-        &BatchExtractor::new().with_jobs(jobs),
-        backend,
-        benches,
-        criteria,
-    )
-}
-
-/// [`run_suite_on`] with a custom-configured [`BatchExtractor`]
-/// (ablation configurations, custom baselines).
-pub fn run_suite_with(
-    runner: &BatchExtractor,
-    backend: &dyn SourceBackend,
-    benches: &[GeneratedBenchmark],
-    criteria: &SuccessCriteria,
-) -> Vec<SuiteRun> {
-    let fast = run_method_with(runner, backend, runner.extractor(), benches, criteria);
-    let base = run_method_with(runner, backend, runner.baseline(), benches, criteria);
+    let fast = run_method_on(backend, &FastExtractor::new(), benches, criteria, jobs);
+    let base = run_method_on(backend, &HoughBaseline::new(), benches, criteria, jobs);
     fast.into_iter()
         .zip(base)
         .map(|(fast, baseline)| SuiteRun { fast, baseline })
@@ -314,7 +256,7 @@ impl MethodFilter {
     }
 
     /// The selected extractors, ready for the unified
-    /// [`run_method`] path.
+    /// [`run_method_on`] path.
     pub fn extractors(self) -> Vec<Box<dyn Extractor>> {
         let mut out: Vec<Box<dyn Extractor>> = Vec::new();
         if self.fast() {
@@ -377,7 +319,7 @@ impl BenchArgs {
     /// # Panics
     ///
     /// Panics with a usage message on malformed flag values.
-    pub fn from_args(args: impl Iterator<Item = String>) -> Self {
+    fn from_args(args: impl Iterator<Item = String>) -> Self {
         let mut parsed = Self::default();
         let mut args = args;
         while let Some(a) = args.next() {

@@ -66,7 +66,6 @@
 //! ```
 
 use crate::api::{extract_with, ExtractionReport, Extractor};
-use crate::baseline::{BaselineResult, HoughBaseline};
 use crate::extraction::{ExtractionResult, FastExtractor};
 use crate::ExtractError;
 use mini_rayon::ThreadPool;
@@ -106,8 +105,8 @@ impl<R> BatchOutcome<R> {
     }
 }
 
-/// Runs fast and/or baseline extractions over a queue of jobs with a
-/// bounded number of concurrent workers.
+/// Runs extractions over a queue of jobs with a bounded number of
+/// concurrent workers.
 ///
 /// The queue is implicit: `count` jobs indexed `0..count`, each realized
 /// by a caller-supplied session factory. The factory receives the job
@@ -116,20 +115,14 @@ impl<R> BatchOutcome<R> {
 /// keeps parallel runs bit-identical to serial ones.
 #[derive(Debug, Clone, Default)]
 pub struct BatchExtractor {
-    extractor: FastExtractor,
-    baseline: HoughBaseline,
+    /// `0` resolves to the available parallelism at run time.
     jobs: usize,
 }
 
 impl BatchExtractor {
-    /// A batch runner with the paper's default extractors and a worker
-    /// per available core.
+    /// A batch runner with a worker per available core.
     pub fn new() -> Self {
-        Self {
-            extractor: FastExtractor::new(),
-            baseline: HoughBaseline::new(),
-            jobs: 0, // 0 = resolve to available parallelism at run time
-        }
+        Self::default()
     }
 
     /// Caps concurrent jobs (builder style). `0` means one worker per
@@ -140,20 +133,6 @@ impl BatchExtractor {
         self
     }
 
-    /// Replaces the fast extractor (ablation configurations).
-    #[must_use]
-    pub fn with_extractor(mut self, extractor: FastExtractor) -> Self {
-        self.extractor = extractor;
-        self
-    }
-
-    /// Replaces the baseline extractor.
-    #[must_use]
-    pub fn with_baseline(mut self, baseline: HoughBaseline) -> Self {
-        self.baseline = baseline;
-        self
-    }
-
     /// The effective worker count.
     pub fn jobs(&self) -> usize {
         if self.jobs == 0 {
@@ -161,16 +140,6 @@ impl BatchExtractor {
         } else {
             self.jobs
         }
-    }
-
-    /// The configured fast extractor.
-    pub fn extractor(&self) -> &FastExtractor {
-        &self.extractor
-    }
-
-    /// The configured baseline extractor.
-    pub fn baseline(&self) -> &HoughBaseline {
-        &self.baseline
     }
 
     /// Runs *any* extraction method over `count` jobs, building each
@@ -193,8 +162,8 @@ impl BatchExtractor {
         })
     }
 
-    /// Runs the fast extractor over `count` jobs, building each job's
-    /// session with `make_session(job_index)`.
+    /// Runs the default-configured fast extractor over `count` jobs,
+    /// building each job's session with `make_session(job_index)`.
     pub fn run_fast<S, F>(
         &self,
         count: usize,
@@ -204,25 +173,8 @@ impl BatchExtractor {
         S: CurrentSource + Send,
         F: Fn(usize) -> MeasurementSession<S> + Sync,
     {
-        self.run_with(count, make_session, |session| {
-            self.extractor.extract(session)
-        })
-    }
-
-    /// Runs the Hough baseline over `count` jobs, building each job's
-    /// session with `make_session(job_index)`.
-    pub fn run_baseline<S, F>(
-        &self,
-        count: usize,
-        make_session: F,
-    ) -> Vec<BatchOutcome<BaselineResult>>
-    where
-        S: CurrentSource + Send,
-        F: Fn(usize) -> MeasurementSession<S> + Sync,
-    {
-        self.run_with(count, make_session, |session| {
-            self.baseline.extract(session)
-        })
+        let extractor = FastExtractor::new();
+        self.run_with(count, make_session, |session| extractor.extract(session))
     }
 
     /// Shared driver: fan the job queue out, run `work` per session,
@@ -339,7 +291,8 @@ mod tests {
 
     #[test]
     fn baseline_runs_in_batch_too() {
-        let outcomes = BatchExtractor::new().with_jobs(2).run_baseline(2, |k| {
+        let baseline = crate::baseline::HoughBaseline::new();
+        let outcomes = BatchExtractor::new().with_jobs(2).run(&baseline, 2, |k| {
             MeasurementSession::new(CsdSource::new(diagram(k, 63)))
         });
         for o in &outcomes {
@@ -347,21 +300,6 @@ mod tests {
             assert_eq!(o.probes, 63 * 63, "baseline probes everything");
             assert!((o.coverage - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn custom_extractor_config_is_honored() {
-        use crate::extraction::ExtractorConfig;
-        let cfg = ExtractorConfig {
-            contrast_threshold: None,
-            ..ExtractorConfig::default()
-        };
-        let runner = BatchExtractor::new()
-            .with_jobs(2)
-            .with_extractor(FastExtractor::with_config(cfg.clone()));
-        assert_eq!(runner.extractor().config(), &cfg);
-        let outcomes = runner.run_fast(2, session_for);
-        assert!(outcomes.iter().all(BatchOutcome::is_ok));
     }
 
     #[test]

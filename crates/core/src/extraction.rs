@@ -141,11 +141,6 @@ impl FastExtractor {
         Self { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &ExtractorConfig {
-        &self.config
-    }
-
     /// Runs the full pipeline against a measurement session.
     ///
     /// The session keeps its probe ledger afterwards, so callers can draw

@@ -25,7 +25,7 @@ use qd_instrument::ProbeSession;
 /// there — acceptable because transition lines never coincide with the
 /// window border in practice (the paper's sweeps also probe up to the
 /// edge).
-pub fn feature_gradient<P: ProbeSession + ?Sized>(session: &mut P, v1: f64, v2: f64) -> f64 {
+fn feature_gradient<P: ProbeSession + ?Sized>(session: &mut P, v1: f64, v2: f64) -> f64 {
     let delta = session.window().delta;
     let c = session.get_current(v1, v2);
     let c_right = session.get_current(v1 + delta, v2);

@@ -292,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn custom_bounds_are_respected() {
+    fn caller_bounds_are_respected() {
         let a1 = Pixel::new(10, 64);
         let a2 = Pixel::new(70, 14);
         let pts = line_points(a1, a2, (60.0, 54.0), 25);

@@ -42,14 +42,14 @@ impl CriticalRegion {
 
     /// `x` coordinate of the chord (hypotenuse) `a1`–`a2` at height `y`
     /// (continuous).
-    pub fn chord_x_at(&self, y: f64) -> f64 {
+    fn chord_x_at(&self, y: f64) -> f64 {
         let (x1, y1) = self.a1.to_f64();
         let (x2, y2) = self.a2.to_f64();
         x1 + (y - y1) * (x2 - x1) / (y2 - y1)
     }
 
     /// `y` coordinate of the chord at column `x` (continuous).
-    pub fn chord_y_at(&self, x: f64) -> f64 {
+    fn chord_y_at(&self, x: f64) -> f64 {
         let (x1, y1) = self.a1.to_f64();
         let (x2, y2) = self.a2.to_f64();
         y1 + (x - x1) * (y2 - y1) / (x2 - x1)

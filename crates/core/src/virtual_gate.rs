@@ -29,7 +29,7 @@ impl ArrayVirtualization {
     /// # Panics
     ///
     /// Panics if `pairs` is empty (an array needs at least two dots).
-    pub fn from_pairs(pairs: &[(f64, f64)]) -> Self {
+    fn from_pairs(pairs: &[(f64, f64)]) -> Self {
         assert!(!pairs.is_empty(), "need at least one adjacent pair");
         let n = pairs.len() + 1;
         let mut matrix = vec![0.0; n * n];
@@ -118,7 +118,7 @@ impl Default for WindowPlan {
 ///
 /// Reports a degenerate-anchor [`crate::GeometryError`] — in practice
 /// only for invalid pair indices or degenerate lever arms.
-pub fn plan_pair_window(
+fn plan_pair_window(
     device: &LinearArrayDevice,
     pair: usize,
     bias: &[f64],

@@ -185,25 +185,6 @@ impl Csd {
         Ok(Csd { grid, data })
     }
 
-    /// Central crop keeping `fraction` of the width and height — the paper
-    /// crops qflow diagrams to the central 50 % region where the
-    /// (0,0)/(0,1)/(1,0)/(1,1) states live.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CsdError::InvalidCrop`] if `fraction` is not in `(0, 1]`
-    /// or the window would be empty.
-    pub fn crop_center(&self, fraction: f64) -> Result<Csd, CsdError> {
-        if !(fraction > 0.0 && fraction <= 1.0) {
-            return Err(CsdError::InvalidCrop);
-        }
-        let w = ((self.grid.width() as f64) * fraction).round() as usize;
-        let h = ((self.grid.height() as f64) * fraction).round() as usize;
-        let x = (self.grid.width() - w) / 2;
-        let y = (self.grid.height() - h) / 2;
-        self.crop(x, y, w.max(1), h.max(1))
-    }
-
     /// A copy with the background plane `a + b·x + c·y` subtracted — the
     /// standard preprocessing for CSDs whose sensor has a strong direct
     /// gate coupling (every diagram in the benchmark suite has one).
@@ -357,15 +338,6 @@ mod tests {
         assert_eq!(cc.at(0, 0), c.at(2, 1));
         assert_eq!(cc.at(3, 2), c.at(5, 3));
         assert_eq!(cc.grid().voltage_of(0, 0), c.grid().voltage_of(2, 1));
-    }
-
-    #[test]
-    fn crop_center_half() {
-        let c = Csd::constant(grid(100, 100), 1.0).unwrap();
-        let cc = c.crop_center(0.5).unwrap();
-        assert_eq!(cc.size(), (50, 50));
-        assert!(c.crop_center(0.0).is_err());
-        assert!(c.crop_center(1.5).is_err());
     }
 
     #[test]

@@ -132,11 +132,6 @@ impl VoltageGrid {
         )
     }
 
-    /// Voltages of a [`Pixel`].
-    pub fn voltage_of_pixel(&self, p: Pixel) -> (f64, f64) {
-        self.voltage_of(p.x, p.y)
-    }
-
     /// The nearest pixel to voltages `(v1, v2)`, or `None` if the point is
     /// outside the grid by more than half a pixel.
     pub fn pixel_of(&self, v1: f64, v2: f64) -> Option<Pixel> {

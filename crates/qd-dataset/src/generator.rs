@@ -75,10 +75,7 @@ pub fn build_device(spec: &BenchmarkSpec) -> Result<DoubleDotDevice, DatasetErro
 ///
 /// Returns [`DatasetError::InvalidSpec`] if the two transition lines are
 /// parallel (degenerate lever arms).
-pub fn window_for(
-    spec: &BenchmarkSpec,
-    device: &DoubleDotDevice,
-) -> Result<VoltageGrid, DatasetError> {
+fn window_for(spec: &BenchmarkSpec, device: &DoubleDotDevice) -> Result<VoltageGrid, DatasetError> {
     let m = device.capacitance_model();
     // Line i: Σ_j E_{ij} (C_g V)_j = E_ii / 2, i.e. b_i · V = c_i.
     let beta = |dot: usize, gate: usize| -> f64 {
@@ -109,8 +106,9 @@ pub fn window_for(
 ///
 /// # Errors
 ///
-/// Propagates device-model and grid errors; see [`build_device`] and
-/// [`window_for`].
+/// Propagates device-model and grid errors (see [`build_device`]), and
+/// returns [`DatasetError::InvalidSpec`] when the spec's lever arms make
+/// the two transition lines parallel.
 pub fn generate(spec: &BenchmarkSpec) -> Result<GeneratedBenchmark, DatasetError> {
     let device = build_device(spec)?;
     let truth = device.ground_truth()?;

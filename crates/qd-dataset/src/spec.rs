@@ -63,11 +63,6 @@ impl NoiseRecipe {
             telegraph_probability: 0.08,
         }
     }
-
-    /// Whether this recipe produces any noise at all.
-    pub fn is_silent(&self) -> bool {
-        self.white_sigma == 0.0 && self.drift_step == 0.0 && self.telegraph_amplitude == 0.0
-    }
 }
 
 impl Default for NoiseRecipe {
@@ -138,8 +133,15 @@ mod tests {
         let clean = NoiseRecipe::clean();
         let noisy = NoiseRecipe::noisy();
         let swamped = NoiseRecipe::swamped();
-        assert!(silent.is_silent());
-        assert!(!clean.is_silent());
+        assert_eq!(
+            (
+                silent.white_sigma,
+                silent.drift_step,
+                silent.telegraph_amplitude
+            ),
+            (0.0, 0.0, 0.0)
+        );
+        assert!(clean.white_sigma > 0.0);
         assert!(clean.white_sigma < noisy.white_sigma);
         assert!(noisy.white_sigma < swamped.white_sigma);
     }

@@ -43,7 +43,7 @@
 //! # }
 //! ```
 
-use crate::tape::{RecordingSource, ReplayMode, ReplaySource, TapeError};
+use crate::tape::{RecordingSource, ReplaySource, TapeError};
 use crate::{CsdSource, CurrentSource, MeasurementSession, ThrottledSource};
 use qd_csd::Csd;
 use std::path::PathBuf;
@@ -265,15 +265,6 @@ impl ThrottledBackend {
         }
         Ok(Self { dwell, inner })
     }
-
-    /// Throttled simulation — the common case.
-    ///
-    /// # Errors
-    ///
-    /// Rejects dwells above [`MAX_BACKEND_DWELL`].
-    pub fn simulated(dwell: Duration) -> Result<Self, BackendError> {
-        Self::new(dwell, Arc::new(SimBackend))
-    }
 }
 
 impl SourceBackend for ThrottledBackend {
@@ -303,21 +294,17 @@ impl SourceBackend for ThrottledBackend {
 }
 
 /// `replay:<tape>` — serve probes off a recorded tape
-/// ([`ReplaySource`]), strictly by default. The scenario's diagram is
+/// ([`ReplaySource`]), strictly. The scenario's diagram is
 /// ignored; the tape *is* the instrument.
 #[derive(Debug)]
 pub struct ReplayBackend {
     path: PathBuf,
-    mode: ReplayMode,
 }
 
 impl ReplayBackend {
     /// Replays the tape at `path` (may contain `{label}`).
-    pub fn new(path: impl Into<PathBuf>, mode: ReplayMode) -> Self {
-        Self {
-            path: path.into(),
-            mode,
-        }
+    pub fn new(path: impl Into<PathBuf>) -> Self {
+        Self { path: path.into() }
     }
 }
 
@@ -332,7 +319,7 @@ impl SourceBackend for ReplayBackend {
 
     fn open(&self, scenario: SourceScenario) -> Result<BoxedSource, BackendError> {
         let path = resolve_tape_path(&self.path, &scenario.label);
-        let source = ReplaySource::load(&path, self.mode)?;
+        let source = ReplaySource::load(&path)?;
         Ok(Box::new(source))
     }
 }
@@ -470,106 +457,30 @@ pub(crate) fn format_dwell(dwell: Duration) -> String {
     }
 }
 
-/// A factory resolving one scheme's argument string (everything after
-/// the first `:`) into a backend. The registry itself is passed back in
-/// so composite schemes (`record:…+<inner>`) can resolve their inner
-/// spec recursively.
-pub type BackendFactory = Box<
-    dyn Fn(&str, &BackendRegistry) -> Result<Arc<dyn SourceBackend>, BackendError> + Send + Sync,
->;
+/// The built-in schemes, in [`BackendRegistry::schemes`] order.
+const SCHEMES: [&str; 5] = ["sim", "throttled", "replay", "record", "hwsim"];
 
 /// The string-keyed backend registry: maps spec strings
-/// (`scheme[:args]`) to [`SourceBackend`] instances.
+/// (`scheme[:args]`) to [`SourceBackend`] instances over a fixed table
+/// of the five built-in schemes.
 ///
-/// [`BackendRegistry::standard`] ships the four built-in schemes;
-/// embedders register additional ones (a hardware driver, a network
-/// instrument) with [`BackendRegistry::register`] and every `--backend`
-/// flag and service scenario picks them up — that is the seam the
-/// redesign exists for.
-pub struct BackendRegistry {
-    factories: Vec<(String, BackendFactory)>,
-}
-
-impl std::fmt::Debug for BackendRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BackendRegistry")
-            .field("schemes", &self.schemes())
-            .finish()
-    }
-}
-
-impl Default for BackendRegistry {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
+/// Every `--backend` flag and service scenario resolves through
+/// [`BackendRegistry::standard`]. Embedders with their own instrument
+/// pass an `Arc<dyn SourceBackend>` directly; [`RecordBackend::new`]
+/// and [`ThrottledBackend::new`] wrap any such backend.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BackendRegistry;
 
 impl BackendRegistry {
-    /// A registry with no schemes.
-    pub fn empty() -> Self {
-        Self {
-            factories: Vec::new(),
-        }
-    }
-
     /// The built-in schemes: `sim`, `throttled`, `replay`, `record`,
     /// `hwsim`.
     pub fn standard() -> Self {
-        let mut registry = Self::empty();
-        registry.register("sim", |args, _| {
-            if args.is_empty() {
-                Ok(Arc::new(SimBackend) as Arc<dyn SourceBackend>)
-            } else {
-                Err(invalid(format!("sim takes no arguments, got {args:?}")))
-            }
-        });
-        registry.register("throttled", |args, registry| {
-            let (dwell, inner) = match args.split_once('+') {
-                Some((dwell, inner)) => (dwell, registry.resolve(inner)?),
-                None => (args, Arc::new(SimBackend) as Arc<dyn SourceBackend>),
-            };
-            Ok(Arc::new(ThrottledBackend::new(parse_dwell(dwell)?, inner)?) as _)
-        });
-        registry.register("replay", |args, _| {
-            if args.is_empty() {
-                return Err(invalid("replay needs a tape path: replay:<tape>"));
-            }
-            Ok(Arc::new(ReplayBackend::new(args, ReplayMode::Strict)) as _)
-        });
-        registry.register("record", |args, registry| {
-            let (path, inner) = match args.split_once('+') {
-                Some((path, inner)) => (path, registry.resolve(inner)?),
-                None => (args, Arc::new(SimBackend) as Arc<dyn SourceBackend>),
-            };
-            if path.is_empty() {
-                return Err(invalid("record needs a tape path: record:<tape>[+<inner>]"));
-            }
-            Ok(Arc::new(RecordBackend::new(path, inner)) as _)
-        });
-        registry.register("hwsim", |args, _| {
-            let profile = crate::hwsim::HwSimProfile::parse(args)?;
-            Ok(Arc::new(crate::hwsim::HwSimBackend::new(profile)) as _)
-        });
-        registry
+        Self
     }
 
-    /// Registers (or replaces) a scheme.
-    pub fn register(
-        &mut self,
-        scheme: impl Into<String>,
-        factory: impl Fn(&str, &BackendRegistry) -> Result<Arc<dyn SourceBackend>, BackendError>
-            + Send
-            + Sync
-            + 'static,
-    ) {
-        let scheme = scheme.into();
-        self.factories.retain(|(s, _)| *s != scheme);
-        self.factories.push((scheme, Box::new(factory)));
-    }
-
-    /// The registered schemes, in registration order.
+    /// The known schemes, in table order.
     pub fn schemes(&self) -> Vec<&str> {
-        self.factories.iter().map(|(s, _)| s.as_str()).collect()
+        SCHEMES.to_vec()
     }
 
     /// Splits a spec string into `(scheme, args)` exactly the way
@@ -586,24 +497,57 @@ impl BackendRegistry {
     }
 
     /// Resolves a spec string (`scheme[:args]`) into a backend.
+    /// Composite schemes (`throttled:…+<inner>`, `record:…+<inner>`)
+    /// resolve their inner spec recursively.
     ///
     /// # Errors
     ///
-    /// Returns [`BackendError::UnknownScheme`] for unregistered schemes
-    /// and whatever the scheme's factory returns for malformed
-    /// arguments.
+    /// Returns [`BackendError::UnknownScheme`] for unknown schemes and
+    /// [`BackendError::InvalidSpec`] (or the hwsim profile parser's
+    /// error) for malformed arguments.
     pub fn resolve(&self, spec: &str) -> Result<Arc<dyn SourceBackend>, BackendError> {
         let (scheme, args) = Self::split_spec(spec);
-        let factory = self
-            .factories
-            .iter()
-            .find(|(s, _)| s == scheme)
-            .map(|(_, f)| f)
-            .ok_or_else(|| BackendError::UnknownScheme {
-                scheme: scheme.to_string(),
-                known: self.schemes().iter().map(|s| s.to_string()).collect(),
-            })?;
-        factory(args, self)
+        let backend: Arc<dyn SourceBackend> = match scheme {
+            "sim" if args.is_empty() => Arc::new(SimBackend),
+            "sim" => return Err(invalid(format!("sim takes no arguments, got {args:?}"))),
+            "throttled" => {
+                let (dwell, inner) = self.split_inner(args)?;
+                Arc::new(ThrottledBackend::new(parse_dwell(dwell)?, inner)?)
+            }
+            "replay" if args.is_empty() => {
+                return Err(invalid("replay needs a tape path: replay:<tape>"))
+            }
+            "replay" => Arc::new(ReplayBackend::new(args)),
+            "record" => {
+                let (path, inner) = self.split_inner(args)?;
+                if path.is_empty() {
+                    return Err(invalid("record needs a tape path: record:<tape>[+<inner>]"));
+                }
+                Arc::new(RecordBackend::new(path, inner))
+            }
+            "hwsim" => Arc::new(crate::hwsim::HwSimBackend::new(
+                crate::hwsim::HwSimProfile::parse(args)?,
+            )),
+            _ => {
+                return Err(BackendError::UnknownScheme {
+                    scheme: scheme.to_string(),
+                    known: SCHEMES.iter().map(|s| s.to_string()).collect(),
+                })
+            }
+        };
+        Ok(backend)
+    }
+
+    /// Splits a composite scheme's `<own>[+<inner>]` arguments,
+    /// resolving the inner spec (`sim` when absent).
+    fn split_inner<'a>(
+        &self,
+        args: &'a str,
+    ) -> Result<(&'a str, Arc<dyn SourceBackend>), BackendError> {
+        Ok(match args.split_once('+') {
+            Some((own, inner)) => (own, self.resolve(inner)?),
+            None => (args, Arc::new(SimBackend)),
+        })
     }
 }
 
@@ -771,35 +715,6 @@ mod tests {
             cursor = e.source();
         }
         assert!(found_io, "chain must reach the io::Error");
-    }
-
-    #[test]
-    fn custom_schemes_can_be_registered() {
-        let mut registry = BackendRegistry::standard();
-        registry.register("null", |_, _| {
-            #[derive(Debug)]
-            struct NullBackend;
-            impl SourceBackend for NullBackend {
-                fn scheme(&self) -> &str {
-                    "null"
-                }
-                fn describe(&self) -> String {
-                    "null".to_string()
-                }
-                fn open(&self, scenario: SourceScenario) -> Result<BoxedSource, BackendError> {
-                    let window = crate::VoltageWindow::from_grid(scenario.csd.grid());
-                    Ok(Box::new(crate::FnSource::new(|_, _| 0.0, window)))
-                }
-            }
-            Ok(Arc::new(NullBackend) as _)
-        });
-        assert!(registry.schemes().contains(&"null"));
-        let mut session = registry
-            .resolve("null")
-            .unwrap()
-            .session(scenario())
-            .unwrap();
-        assert_eq!(session.get_current(3.0, 3.0), 0.0);
     }
 
     #[test]

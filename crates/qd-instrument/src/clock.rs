@@ -5,8 +5,8 @@
 //! while the heavily filtered bias lines settle. Sleeping for real would
 //! make the benchmark suite take the same hours the hardware does, so the
 //! clock is *virtual* by default: it adds up what the wall-clock time
-//! *would have been*. An opt-in real-sleep mode exists for demos that want
-//! hardware-faithful pacing.
+//! *would have been*. Hardware-faithful pacing is the throttled backend's
+//! job (`crate::ThrottledSource`), not the clock's.
 
 use std::time::Duration;
 
@@ -15,7 +15,6 @@ use std::time::Duration;
 pub struct DwellClock {
     dwell: Duration,
     ticks: u64,
-    real_sleep: bool,
 }
 
 impl DwellClock {
@@ -24,11 +23,7 @@ impl DwellClock {
 
     /// Creates a virtual clock with the given per-probe dwell.
     pub fn new(dwell: Duration) -> Self {
-        Self {
-            dwell,
-            ticks: 0,
-            real_sleep: false,
-        }
+        Self { dwell, ticks: 0 }
     }
 
     /// Creates a clock with the paper's 50 ms dwell.
@@ -36,20 +31,9 @@ impl DwellClock {
         Self::new(Self::PAPER_DWELL)
     }
 
-    /// Switches to real sleeping: every [`DwellClock::tick`] blocks for the
-    /// dwell duration. Only sensible for small interactive demos.
-    #[must_use]
-    pub fn with_real_sleep(mut self, enable: bool) -> Self {
-        self.real_sleep = enable;
-        self
-    }
-
-    /// Accounts one probe (and sleeps, in real-sleep mode).
+    /// Accounts one probe.
     pub fn tick(&mut self) {
         self.ticks += 1;
-        if self.real_sleep {
-            std::thread::sleep(self.dwell);
-        }
     }
 
     /// Number of probes accounted so far.
@@ -119,16 +103,6 @@ mod tests {
         }
         assert!(start.elapsed() < Duration::from_secs(1));
         assert_eq!(c.elapsed(), Duration::from_secs(6000));
-    }
-
-    #[test]
-    fn real_sleep_actually_sleeps() {
-        let mut c = DwellClock::new(Duration::from_millis(5)).with_real_sleep(true);
-        let start = std::time::Instant::now();
-        for _ in 0..4 {
-            c.tick();
-        }
-        assert!(start.elapsed() >= Duration::from_millis(20));
     }
 
     #[test]

@@ -61,13 +61,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
 
-/// Command nibble: write a channel's input register (no output change).
-pub const CMD_WRITE_INPUT: u32 = 0x1;
-/// Command nibble: strobe input registers to the DAC outputs.
-pub const CMD_UPDATE_DAC: u32 = 0x2;
-/// Command nibble: write a channel and update it in one word.
-pub const CMD_WRITE_UPDATE: u32 = 0x3;
-
 /// The sensor current a dead pixel reads: a railed ADC, far below any
 /// live charge-sensor level the generator produces.
 pub const DEAD_PIXEL_CURRENT: f64 = 0.0;
@@ -76,15 +69,6 @@ fn invalid(message: impl Into<String>) -> BackendError {
     BackendError::InvalidSpec {
         message: message.into(),
     }
-}
-
-/// Packs one 24-bit DAC command word: a command nibble, a one-hot
-/// channel address nibble, and 16 data bits — the layout of the
-/// nanoDAC-style drivers in `SNIPPETS.md`.
-pub fn command_word(cmd: u32, channel: u32, data: u16) -> u32 {
-    debug_assert!(cmd <= 0xf, "command nibble");
-    debug_assert!(channel < 4, "address nibble is one-hot over 4 channels");
-    (cmd << 20) | ((0x1 << channel) << 16) | data as u32
 }
 
 /// One DAC output channel: the code→voltage transfer function plus the
@@ -121,7 +105,7 @@ impl DacChannel {
 
     /// The power-on code (mid-span of the limit table, like the
     /// per-channel default columns of real driver register maps).
-    pub fn default_code(&self) -> u16 {
+    fn default_code(&self) -> u16 {
         self.min_code + (self.max_code - self.min_code) / 2
     }
 
@@ -161,7 +145,7 @@ impl DacModel {
     }
 
     /// The power-on code pair.
-    pub fn default_codes(&self) -> (u16, u16) {
+    fn default_codes(&self) -> (u16, u16) {
         (
             self.channels[0].default_code(),
             self.channels[1].default_code(),
@@ -449,10 +433,10 @@ impl HwSimProfile {
         }
     }
 
-    /// Command words one probe clocks: a `CMD_WRITE_INPUT` per changed
-    /// channel plus one `CMD_UPDATE_DAC` strobe when anything changed
+    /// Command words one probe clocks: an input-register write per
+    /// changed channel plus one update strobe when anything changed
     /// (`None` = power-on, both channels written).
-    pub fn bus_words(prev: Option<(u16, u16)>, next: (u16, u16)) -> u64 {
+    fn bus_words(prev: Option<(u16, u16)>, next: (u16, u16)) -> u64 {
         let writes = match prev {
             None => 2,
             Some(p) => (p.0 != next.0) as u64 + (p.1 != next.1) as u64,
@@ -501,7 +485,7 @@ impl HwSimProfile {
 /// Whether `(x, y)` is a dead pixel for `seed` at `fraction` — a pure
 /// hash, so dead-pixel maps are identical across probe orders, jobs
 /// counts and record→replay.
-pub fn is_dead_pixel(x: i64, y: i64, seed: u64, fraction: f64) -> bool {
+fn is_dead_pixel(x: i64, y: i64, seed: u64, fraction: f64) -> bool {
     if fraction <= 0.0 {
         return false;
     }
@@ -710,13 +694,6 @@ mod tests {
             ),
             "{err}"
         );
-    }
-
-    #[test]
-    fn command_words_pack_like_the_exemplar_drivers() {
-        assert_eq!(command_word(CMD_WRITE_INPUT, 0, 0xABCD), 0x11_ABCD);
-        assert_eq!(command_word(CMD_UPDATE_DAC, 1, 0), 0x22_0000);
-        assert_eq!(command_word(CMD_WRITE_UPDATE, 3, 0xFFFF), 0x38_FFFF);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!   by [`CsdSource`] (replay a recorded/synthetic diagram, what the paper
 //!   does with qflow data) and [`PhysicsSource`] (live constant-interaction
 //!   model with optional noise).
-//! * [`DwellClock`] — a virtual clock accruing one dwell per probe, with an
-//!   opt-in real-sleep mode for timing-faithful demos.
+//! * [`DwellClock`] — a virtual clock accruing one dwell per probe.
 //! * [`ProbeLedger`] — records every probed pixel in order, for the probe
 //!   counts in Table 1 and the scatter plots of Figure 7.
 //! * [`MeasurementSession`] — glues the three together and adds an optional
@@ -18,8 +17,8 @@
 //!   simulated evaluation).
 //! * [`SourceBackend`] + [`BackendRegistry`] — runtime probe-source
 //!   selection behind one object-safe seam: `sim`, `throttled:<dwell>`,
-//!   `replay:<tape>`, `record:<tape>[+inner]`, plus embedder-registered
-//!   schemes (see [`backend`]).
+//!   `replay:<tape>`, `record:<tape>[+inner]`, `hwsim:<profile>` (see
+//!   [`backend`]).
 //! * [`RecordingSource`] / [`ReplaySource`] — probe tapes: record every
 //!   dwell-costing probe to newline-framed JSON and play it back
 //!   bit-identically without the source (see [`tape`]).
@@ -74,5 +73,5 @@ pub use ledger::{ProbeEvent, ProbeLedger};
 pub use scan::ScanPattern;
 pub use session::{MeasurementSession, ProbeSession};
 pub use source::{CsdSource, CurrentSource, FnSource, PhysicsSource, VoltageWindow};
-pub use tape::{RecordingSource, ReplayMode, ReplaySource, Tape, TapeError, TapeHeader, TapeProbe};
+pub use tape::{RecordingSource, ReplaySource, Tape, TapeError, TapeHeader, TapeProbe};
 pub use throttle::ThrottledSource;

@@ -8,8 +8,6 @@
 //! these effects can be studied (and so the dataset generator's raster
 //! convention is explicit rather than implicit).
 
-use crate::VoltageWindow;
-
 /// The order a full-window acquisition visits pixels in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanPattern {
@@ -61,35 +59,11 @@ impl ScanPattern {
         }
         out
     }
-
-    /// Total voltage slew (sum of |ΔV| over consecutive probes, both
-    /// axes) for this pattern on `window` — the quantity serpentine
-    /// scanning minimizes on hardware.
-    pub fn total_slew(&self, window: &VoltageWindow) -> f64 {
-        let order = self.order(window.width_px(), window.height_px());
-        let mut slew = 0.0;
-        for pair in order.windows(2) {
-            let (x0, y0) = pair[0];
-            let (x1, y1) = pair[1];
-            slew += window.delta * ((x1 as f64 - x0 as f64).abs() + (y1 as f64 - y0 as f64).abs());
-        }
-        slew
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn window(w: usize, h: usize) -> VoltageWindow {
-        VoltageWindow {
-            x_min: 0.0,
-            y_min: 0.0,
-            x_max: (w - 1) as f64,
-            y_max: (h - 1) as f64,
-            delta: 1.0,
-        }
-    }
 
     #[test]
     fn every_pattern_visits_each_pixel_once() {
@@ -121,17 +95,6 @@ mod tests {
     fn column_major_is_transposed() {
         let order = ScanPattern::ColumnMajorRaster.order(2, 3);
         assert_eq!(order, vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]);
-    }
-
-    #[test]
-    fn serpentine_minimizes_slew() {
-        let w = window(16, 16);
-        let raster = ScanPattern::RowMajorRaster.total_slew(&w);
-        let serp = ScanPattern::Serpentine.total_slew(&w);
-        let col = ScanPattern::ColumnMajorRaster.total_slew(&w);
-        assert!(serp < raster, "serpentine {serp} !< raster {raster}");
-        // Row- and column-major have identical slew by symmetry here.
-        assert!((raster - col).abs() < 1e-9);
     }
 
     #[test]

@@ -101,7 +101,7 @@ impl<S: CurrentSource> MeasurementSession<S> {
     }
 
     /// Creates a session with a custom dwell clock.
-    pub fn with_clock(source: S, clock: DwellClock) -> Self {
+    fn with_clock(source: S, clock: DwellClock) -> Self {
         let window = source.window();
         Self {
             source,
@@ -210,11 +210,6 @@ impl<S: CurrentSource> MeasurementSession<S> {
         &self.source
     }
 
-    /// Consumes the session, returning the source and the ledger.
-    pub fn into_parts(self) -> (S, ProbeLedger) {
-        (self.source, self.ledger)
-    }
-
     /// Clears ledger, clock and cache, keeping the source.
     pub fn reset(&mut self) {
         self.ledger.reset();
@@ -300,15 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn into_parts_returns_ledger() {
-        let mut s = session();
-        let _ = s.get_current(4.0, 5.0);
-        let (_, ledger) = s.into_parts();
-        assert_eq!(ledger.total_probes(), 1);
-        assert_eq!(ledger.scatter(), vec![(4, 5)]);
-    }
-
-    #[test]
     fn budget_trips_after_cap() {
         let mut s = session().with_probe_budget(3);
         assert_eq!(s.remaining_budget(), Some(3));
@@ -355,7 +341,7 @@ mod tests {
     }
 
     #[test]
-    fn custom_clock_dwell() {
+    fn session_dwell_follows_its_clock() {
         let src = FnSource::new(|_, _| 0.0, window());
         let mut s = MeasurementSession::with_clock(src, DwellClock::new(Duration::from_millis(10)));
         let _ = s.get_current(0.0, 0.0);

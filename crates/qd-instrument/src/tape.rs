@@ -17,10 +17,8 @@
 
 use crate::{CurrentSource, VoltageWindow};
 use fastvg_wire::Json;
-use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Format version emitted in the header's `"fastvg_tape"` member.
@@ -329,11 +327,7 @@ impl<S: CurrentSource> RecordingSource<S> {
     }
 
     /// Tapes `inner` to an arbitrary sink (in-memory buffers in tests).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TapeError`] when the header cannot be written.
-    pub fn to_sink(
+    fn to_sink(
         inner: S,
         mut sink: Box<dyn Write + Send>,
         label: &str,
@@ -357,11 +351,6 @@ impl<S: CurrentSource> RecordingSource<S> {
             write_error: None,
             path: None,
         })
-    }
-
-    /// Probes taped so far.
-    pub fn probes_recorded(&self) -> usize {
-        self.probes
     }
 
     /// Flushes the sink and surfaces any write error deferred during
@@ -440,55 +429,26 @@ impl<S> Drop for RecordingSource<S> {
     }
 }
 
-/// How a [`ReplaySource`] serves probes off a tape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplayMode {
-    /// Probes must arrive in exactly the recorded pixel sequence; any
-    /// divergence (wrong pixel, or more probes than the tape holds) is
-    /// a hard error. This is the regression-fixture mode: it proves the
-    /// consumer reproduces the recorded run bit-for-bit.
-    #[default]
-    Strict,
-    /// Probes are served by pixel lookup in any order; only pixels the
-    /// tape never recorded are errors. Useful when replaying a tape
-    /// against a slightly different consumer (changed configuration,
-    /// exploratory analysis).
-    AnyOrder,
-}
-
 /// Plays a [`Tape`] back as a [`CurrentSource`] — the hardware-free
 /// regression instrument.
 ///
-/// In [`ReplayMode::Strict`] (the default) the source verifies that the
-/// consumer probes exactly the recorded pixel sequence and **panics on
-/// the first divergence** with a message naming the probe index and the
-/// expected/actual pixels. Like the probe-budget tripwire on
-/// [`crate::MeasurementSession`], this is a deliberate hard stop: a
-/// diverged replay has no honest reading to return, and silently wrong
-/// currents would corrupt the extraction it is supposed to pin down.
+/// The source verifies that the consumer probes exactly the recorded
+/// pixel sequence and **panics on the first divergence** with a message
+/// naming the probe index and the expected/actual pixels. Like the
+/// probe-budget tripwire on [`crate::MeasurementSession`], this is a
+/// deliberate hard stop: a diverged replay has no honest reading to
+/// return, and silently wrong currents would corrupt the extraction it
+/// is supposed to pin down.
 #[derive(Debug)]
 pub struct ReplaySource {
     tape: Tape,
-    mode: ReplayMode,
     cursor: usize,
-    by_pixel: HashMap<(i64, i64), f64>,
 }
 
 impl ReplaySource {
     /// A replay source over a parsed tape.
-    pub fn new(tape: Tape, mode: ReplayMode) -> Self {
-        // First-probe-wins, matching the session cache: the value a
-        // cached session saw for a pixel is the first one measured.
-        let mut by_pixel = HashMap::with_capacity(tape.probes.len());
-        for probe in &tape.probes {
-            by_pixel.entry(probe.pixel).or_insert(probe.value);
-        }
-        Self {
-            tape,
-            mode,
-            cursor: 0,
-            by_pixel,
-        }
+    pub fn new(tape: Tape) -> Self {
+        Self { tape, cursor: 0 }
     }
 
     /// Loads a tape file and wraps it.
@@ -496,8 +456,8 @@ impl ReplaySource {
     /// # Errors
     ///
     /// Returns [`TapeError`] on I/O failures or malformed content.
-    pub fn load(path: &Path, mode: ReplayMode) -> Result<Self, TapeError> {
-        Ok(Self::new(Tape::load(path)?, mode))
+    pub fn load(path: &Path) -> Result<Self, TapeError> {
+        Ok(Self::new(Tape::load(path)?))
     }
 
     /// The tape being replayed.
@@ -505,12 +465,12 @@ impl ReplaySource {
         &self.tape
     }
 
-    /// Probes served so far (strict mode's cursor).
+    /// Probes served so far.
     pub fn position(&self) -> usize {
         self.cursor
     }
 
-    /// Probes remaining on the tape in strict mode.
+    /// Probes remaining on the tape.
     pub fn remaining(&self) -> usize {
         self.tape.probes.len().saturating_sub(self.cursor)
     }
@@ -519,46 +479,31 @@ impl ReplaySource {
 impl CurrentSource for ReplaySource {
     /// # Panics
     ///
-    /// In [`ReplayMode::Strict`], panics on any probe-sequence
-    /// divergence (wrong pixel or tape exhausted). In
-    /// [`ReplayMode::AnyOrder`], panics when the probed pixel was never
-    /// recorded.
+    /// Panics on any probe-sequence divergence (wrong pixel or tape
+    /// exhausted).
     fn current(&mut self, v1: f64, v2: f64) -> f64 {
         let pixel = self.tape.header.window.quantize(v1, v2);
-        match self.mode {
-            ReplayMode::Strict => {
-                let Some(expected) = self.tape.probes.get(self.cursor) else {
-                    panic!(
-                        "replay divergence at probe {}: tape {:?} has only {} probes \
-                         but the consumer probed pixel {:?}",
-                        self.cursor,
-                        self.tape.header.label,
-                        self.tape.probes.len(),
-                        pixel,
-                    );
-                };
-                assert!(
-                    expected.pixel == pixel,
-                    "replay divergence at probe {}: tape {:?} recorded pixel {:?}, \
-                     consumer probed {:?}",
-                    self.cursor,
-                    self.tape.header.label,
-                    expected.pixel,
-                    pixel,
-                );
-                self.cursor += 1;
-                expected.value
-            }
-            ReplayMode::AnyOrder => {
-                self.cursor += 1;
-                *self.by_pixel.get(&pixel).unwrap_or_else(|| {
-                    panic!(
-                        "replay miss: tape {:?} never recorded pixel {pixel:?}",
-                        self.tape.header.label
-                    )
-                })
-            }
-        }
+        let Some(expected) = self.tape.probes.get(self.cursor) else {
+            panic!(
+                "replay divergence at probe {}: tape {:?} has only {} probes \
+                 but the consumer probed pixel {:?}",
+                self.cursor,
+                self.tape.header.label,
+                self.tape.probes.len(),
+                pixel,
+            );
+        };
+        assert!(
+            expected.pixel == pixel,
+            "replay divergence at probe {}: tape {:?} recorded pixel {:?}, \
+             consumer probed {:?}",
+            self.cursor,
+            self.tape.header.label,
+            expected.pixel,
+            pixel,
+        );
+        self.cursor += 1;
+        expected.value
     }
 
     fn window(&self) -> VoltageWindow {
@@ -566,23 +511,24 @@ impl CurrentSource for ReplaySource {
     }
 }
 
-/// An in-memory sink for [`RecordingSource::to_sink`], shareable with
+/// An in-memory sink for `RecordingSource::to_sink`, shareable with
 /// the test that inspects the bytes afterwards.
+#[cfg(test)]
 #[derive(Debug, Clone, Default)]
-pub struct SharedBuffer(std::sync::Arc<Mutex<Vec<u8>>>);
+struct SharedBuffer(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
 
+#[cfg(test)]
 impl SharedBuffer {
-    /// An empty buffer.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
-    /// The bytes written so far.
-    pub fn contents(&self) -> Vec<u8> {
+    fn contents(&self) -> Vec<u8> {
         self.0.lock().expect("buffer poisoned").clone()
     }
 }
 
+#[cfg(test)]
 impl Write for SharedBuffer {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         self.0
@@ -670,7 +616,7 @@ mod tests {
     #[test]
     fn strict_replay_reproduces_the_run() {
         let tape = recorded_tape();
-        let mut replay = ReplaySource::new(tape, ReplayMode::Strict);
+        let mut replay = ReplaySource::new(tape);
         assert_eq!(replay.remaining(), 3);
         assert_eq!(replay.current(1.0, 2.0), 12.0);
         assert_eq!(replay.current(3.0, 4.0), 34.0);
@@ -682,7 +628,7 @@ mod tests {
     #[test]
     fn strict_replay_panics_on_divergence() {
         let tape = recorded_tape();
-        let mut replay = ReplaySource::new(tape, ReplayMode::Strict);
+        let mut replay = ReplaySource::new(tape);
         let _ = replay.current(1.0, 2.0);
         let diverged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = replay.current(9.0, 9.0); // tape recorded (3,4) next
@@ -695,7 +641,7 @@ mod tests {
     #[test]
     fn strict_replay_panics_past_the_end() {
         let tape = recorded_tape();
-        let mut replay = ReplaySource::new(tape, ReplayMode::Strict);
+        let mut replay = ReplaySource::new(tape);
         let _ = replay.current(1.0, 2.0);
         let _ = replay.current(3.0, 4.0);
         let _ = replay.current(5.0, 6.0);
@@ -703,19 +649,6 @@ mod tests {
             let _ = replay.current(1.0, 2.0);
         }));
         assert!(overrun.is_err(), "tape exhaustion must trip");
-    }
-
-    #[test]
-    fn any_order_replay_serves_by_pixel() {
-        let tape = recorded_tape();
-        let mut replay = ReplaySource::new(tape, ReplayMode::AnyOrder);
-        assert_eq!(replay.current(5.0, 6.0), 56.0);
-        assert_eq!(replay.current(1.0, 2.0), 12.0);
-        assert_eq!(replay.current(1.0, 2.0), 12.0); // re-probes fine
-        let miss = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = replay.current(9.0, 9.0);
-        }));
-        assert!(miss.is_err(), "unrecorded pixels must trip");
     }
 
     #[test]
@@ -751,7 +684,6 @@ mod tests {
         )
         .unwrap();
         let _ = source.current(1.0, 1.0);
-        assert_eq!(source.probes_recorded(), 1);
         source.finish().unwrap();
         let tape = Tape::parse(std::str::from_utf8(&buffer.contents()).unwrap()).unwrap();
         assert_eq!(tape.probes.len(), 1);

@@ -100,14 +100,11 @@ impl Kernel2 {
 /// Evaluates the cross-correlation of `kernel` with `image` at a single
 /// pixel `(r, c)`, with the kernel centred there.
 ///
-/// This is the primitive the §4.4 mask sweep uses: it does *not* require
-/// materializing a full response image when only one scan line is needed.
-///
 /// # Errors
 ///
 /// Returns [`NumericsError::LengthMismatch`] if `image.len() != rows * cols`
 /// and [`NumericsError::InvalidParameter`] if `(r, c)` is out of bounds.
-pub fn correlate_at(
+fn correlate_at(
     image: &[f64],
     rows: usize,
     cols: usize,
@@ -173,39 +170,13 @@ pub fn correlate2(
     Ok(out)
 }
 
-/// Full `same`-size 2-D *convolution* (kernel flipped in both axes).
-///
-/// For symmetric kernels (Gaussians) this equals [`correlate2`].
-///
-/// # Errors
-///
-/// Returns [`NumericsError::LengthMismatch`] if `image.len() != rows * cols`.
-pub fn convolve2(
-    image: &[f64],
-    rows: usize,
-    cols: usize,
-    kernel: &Kernel2,
-    boundary: Boundary,
-) -> Result<Vec<f64>, NumericsError> {
-    let (krows, kcols) = kernel.shape();
-    let flipped: Vec<f64> = (0..krows * kcols)
-        .map(|i| {
-            let r = i / kcols;
-            let c = i % kcols;
-            kernel.at(krows - 1 - r, kcols - 1 - c)
-        })
-        .collect();
-    let flipped = Kernel2::new(krows, kcols, flipped)?;
-    correlate2(image, rows, cols, &flipped, boundary)
-}
-
 /// `same`-size 1-D cross-correlation of `kernel` (odd length) over `signal`.
 ///
 /// # Errors
 ///
 /// Returns [`NumericsError::EmptyInput`] if `signal` is empty, or
 /// [`NumericsError::InvalidParameter`] if the kernel length is even or zero.
-pub fn correlate1(
+fn correlate1(
     signal: &[f64],
     kernel: &[f64],
     boundary: Boundary,
@@ -249,7 +220,9 @@ pub fn correlate1(
 ///
 /// # Errors
 ///
-/// Propagates errors from [`correlate1`] and shape mismatches.
+/// Returns [`NumericsError::LengthMismatch`] if `image.len() != rows * cols`
+/// and [`NumericsError::InvalidParameter`] for an even-length or empty
+/// kernel.
 pub fn separable2(
     image: &[f64],
     rows: usize,
@@ -364,17 +337,11 @@ mod tests {
     }
 
     #[test]
-    fn convolution_flips_kernel() {
-        // Asymmetric kernel: correlation and convolution must differ.
+    fn correlating_an_impulse_flips_the_kernel() {
         let img = vec![0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0];
         let k = Kernel2::new(3, 3, (0..9).map(|x| x as f64).collect()).unwrap();
         let corr = correlate2(&img, 3, 3, &k, Boundary::Zero).unwrap();
-        let conv = convolve2(&img, 3, 3, &k, Boundary::Zero).unwrap();
-        // Correlating a unit impulse yields the flipped kernel; convolving
-        // yields the kernel itself.
-        assert_eq!(conv[0], 0.0);
         assert_eq!(corr[0], 8.0);
-        assert_eq!(conv[8], 8.0);
         assert_eq!(corr[8], 0.0);
     }
 

@@ -8,7 +8,6 @@
 //! * the Canny baseline blurs the CSD with a 2-D (separable) Gaussian before
 //!   Sobel differentiation, mirroring OpenCV's pipeline.
 
-use crate::conv::Kernel2;
 use crate::NumericsError;
 
 /// Normalized 1-D Gaussian kernel of odd length `len` and standard
@@ -57,23 +56,6 @@ pub fn kernel1(len: usize, sigma: f64) -> Result<Vec<f64>, NumericsError> {
     Ok(taps)
 }
 
-/// Normalized 2-D Gaussian kernel of size `len × len` (outer product of the
-/// 1-D kernel with itself).
-///
-/// # Errors
-///
-/// Same conditions as [`kernel1`].
-pub fn kernel2(len: usize, sigma: f64) -> Result<Kernel2, NumericsError> {
-    let k1 = kernel1(len, sigma)?;
-    let mut data = Vec::with_capacity(len * len);
-    for &a in &k1 {
-        for &b in &k1 {
-            data.push(a * b);
-        }
-    }
-    Kernel2::new(len, len, data)
-}
-
 /// Unnormalized Gaussian *window* of length `len` centred at sample index
 /// `center` with standard deviation `sigma`; the peak value is 1.
 ///
@@ -105,12 +87,6 @@ pub fn window(len: usize, center: f64, sigma: f64) -> Result<Vec<f64>, NumericsE
         .collect())
 }
 
-/// Evaluates the Gaussian probability density function.
-pub fn pdf(x: f64, mu: f64, sigma: f64) -> f64 {
-    let z = (x - mu) / sigma;
-    (-(z * z) / 2.0).exp() / (sigma * (2.0 * std::f64::consts::PI).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,13 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel2_sums_to_one() {
-        let k = kernel2(5, 1.0).unwrap();
-        assert!((k.sum() - 1.0).abs() < 1e-12);
-        assert_eq!(k.shape(), (5, 5));
-    }
-
-    #[test]
     fn window_peak_is_one_at_center() {
         let w = window(11, 5.0, 2.0).unwrap();
         assert!((w[5] - 1.0).abs() < 1e-15);
@@ -164,22 +133,5 @@ mod tests {
     fn window_rejects_bad_args() {
         assert!(window(0, 0.0, 1.0).is_err());
         assert!(window(5, 2.0, -1.0).is_err());
-    }
-
-    #[test]
-    fn pdf_integrates_to_about_one() {
-        let mut sum = 0.0;
-        let dx = 0.01;
-        let mut x = -8.0;
-        while x <= 8.0 {
-            sum += pdf(x, 0.0, 1.0) * dx;
-            x += dx;
-        }
-        assert!((sum - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn pdf_symmetry_about_mean() {
-        assert!((pdf(1.0, 3.0, 2.0) - pdf(5.0, 3.0, 2.0)).abs() < 1e-15);
     }
 }

@@ -1,5 +1,4 @@
-//! Linear least squares, polynomial fits, and a Theil–Sen robust slope
-//! estimator.
+//! Linear least squares and a Theil–Sen robust slope estimator.
 //!
 //! The extraction pipeline uses [`fit_line`] both as a fallback slope
 //! estimator (when the 2-piece-wise fit is ill-posed) and inside ablations;
@@ -15,30 +14,6 @@ pub struct Line {
     pub slope: f64,
     /// Intercept at `x = 0`.
     pub intercept: f64,
-}
-
-impl Line {
-    /// Evaluates the line at `x`.
-    ///
-    /// ```
-    /// use qd_numerics::lsq::Line;
-    /// let l = Line { slope: 2.0, intercept: 1.0 };
-    /// assert_eq!(l.eval(3.0), 7.0);
-    /// ```
-    pub fn eval(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
-
-    /// `x` coordinate where this line intersects `other`.
-    ///
-    /// Returns `None` for (near-)parallel lines.
-    pub fn intersect_x(&self, other: &Line) -> Option<f64> {
-        let dm = self.slope - other.slope;
-        if dm.abs() < 1e-12 {
-            return None;
-        }
-        Some((other.intercept - self.intercept) / dm)
-    }
 }
 
 /// Ordinary least-squares straight-line fit.
@@ -109,50 +84,6 @@ pub fn theil_sen(xs: &[f64], ys: &[f64]) -> Result<Line, NumericsError> {
     let residuals: Vec<f64> = xs.iter().zip(ys).map(|(x, y)| y - slope * x).collect();
     let intercept = crate::stats::median(&residuals)?;
     Ok(Line { slope, intercept })
-}
-
-/// Least-squares polynomial fit of the requested `degree`.
-///
-/// Returns coefficients lowest-order first: `y = c[0] + c[1] x + c[2] x² …`.
-/// Solved via normal equations with Gaussian elimination and partial
-/// pivoting — fine for the small degrees (≤ 4) used here.
-///
-/// # Errors
-///
-/// * [`NumericsError::LengthMismatch`] if `xs` and `ys` differ in length.
-/// * [`NumericsError::EmptyInput`] if fewer than `degree + 1` points.
-/// * [`NumericsError::SingularSystem`] if the Vandermonde system is
-///   rank-deficient.
-pub fn polyfit(xs: &[f64], ys: &[f64], degree: usize) -> Result<Vec<f64>, NumericsError> {
-    if xs.len() != ys.len() {
-        return Err(NumericsError::LengthMismatch {
-            left: xs.len(),
-            right: ys.len(),
-        });
-    }
-    let m = degree + 1;
-    if xs.len() < m {
-        return Err(NumericsError::EmptyInput);
-    }
-    // Normal equations A^T A c = A^T y with A the Vandermonde matrix.
-    let mut ata = vec![0.0; m * m];
-    let mut aty = vec![0.0; m];
-    for (&x, &y) in xs.iter().zip(ys) {
-        let mut powers = Vec::with_capacity(m);
-        let mut p = 1.0;
-        for _ in 0..m {
-            powers.push(p);
-            p *= x;
-        }
-        for i in 0..m {
-            aty[i] += powers[i] * y;
-            for j in 0..m {
-                ata[i * m + j] += powers[i] * powers[j];
-            }
-        }
-    }
-    solve_dense(&mut ata, &mut aty, m)?;
-    Ok(aty)
 }
 
 /// Solves the dense linear system `A x = b` in place (`b` becomes `x`) with
@@ -250,21 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn line_eval_and_intersection() {
-        let a = Line {
-            slope: 1.0,
-            intercept: 0.0,
-        };
-        let b = Line {
-            slope: -1.0,
-            intercept: 4.0,
-        };
-        let x = a.intersect_x(&b).unwrap();
-        assert!((x - 2.0).abs() < 1e-12);
-        assert!(a.intersect_x(&a).is_none());
-    }
-
-    #[test]
     fn theil_sen_resists_outliers() {
         let xs: Vec<f64> = (0..20).map(|x| x as f64).collect();
         let mut ys: Vec<f64> = xs.iter().map(|x| 2.0 * x + 1.0).collect();
@@ -285,27 +201,6 @@ mod tests {
             theil_sen(&[1.0, 1.0], &[0.0, 5.0]),
             Err(NumericsError::SingularSystem)
         );
-    }
-
-    #[test]
-    fn polyfit_quadratic_exact() {
-        let xs: Vec<f64> = (-5..=5).map(|x| x as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 2.0 - x + 0.5 * x * x).collect();
-        let c = polyfit(&xs, &ys, 2).unwrap();
-        assert!((c[0] - 2.0).abs() < 1e-9);
-        assert!((c[1] + 1.0).abs() < 1e-9);
-        assert!((c[2] - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn polyfit_degree_zero_is_mean() {
-        let c = polyfit(&[1.0, 2.0, 3.0], &[4.0, 6.0, 8.0], 0).unwrap();
-        assert!((c[0] - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn polyfit_underdetermined() {
-        assert!(polyfit(&[1.0, 2.0], &[1.0, 2.0], 2).is_err());
     }
 
     #[test]

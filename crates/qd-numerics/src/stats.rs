@@ -1,4 +1,4 @@
-//! Basic descriptive statistics and argmax/argmin helpers.
+//! Basic descriptive statistics and an argmax helper.
 //!
 //! These are deliberately simple, allocation-light routines used throughout
 //! the extraction pipeline: the sweeps take per-row argmaxes, the dataset
@@ -34,15 +34,6 @@ pub fn mean(data: &[f64]) -> Result<f64, NumericsError> {
 pub fn variance(data: &[f64]) -> Result<f64, NumericsError> {
     let m = mean(data)?;
     Ok(data.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / data.len() as f64)
-}
-
-/// Population standard deviation.
-///
-/// # Errors
-///
-/// Returns [`NumericsError::EmptyInput`] if `data` is empty.
-pub fn std_dev(data: &[f64]) -> Result<f64, NumericsError> {
-    variance(data).map(f64::sqrt)
 }
 
 /// Median via sorting a copy. NaNs sort last and are therefore effectively
@@ -102,24 +93,6 @@ pub fn argmax(data: &[f64]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
-/// Index of the minimum element. Ties resolve to the first occurrence;
-/// NaN entries are skipped.
-///
-/// Returns `None` if `data` is empty or all-NaN.
-pub fn argmin(data: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in data.iter().enumerate() {
-        if v.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bv)) if bv <= v => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
 /// Minimum and maximum of a slice in one pass, skipping NaNs.
 ///
 /// Returns `None` if `data` is empty or all-NaN.
@@ -171,12 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn std_dev_is_sqrt_of_variance() {
-        let data = [1.0, 2.0, 4.0, 8.0];
-        assert!((std_dev(&data).unwrap().powi(2) - variance(&data).unwrap()).abs() < 1e-12);
-    }
-
-    #[test]
     fn median_odd_and_even() {
         assert_eq!(median(&[3.0, 1.0, 2.0]).unwrap(), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]).unwrap(), 2.5);
@@ -212,12 +179,6 @@ mod tests {
     fn argmax_skips_nan() {
         assert_eq!(argmax(&[f64::NAN, 2.0, 1.0]), Some(1));
         assert_eq!(argmax(&[f64::NAN]), None);
-    }
-
-    #[test]
-    fn argmin_basic() {
-        assert_eq!(argmin(&[3.0, -1.0, 2.0]), Some(1));
-        assert_eq!(argmin(&[]), None);
     }
 
     #[test]

@@ -159,7 +159,7 @@ impl CapacitanceModel {
     ///
     /// Returns [`PhysicsError::GateCountMismatch`] if `voltages.len()`
     /// differs from [`Self::n_gates`].
-    pub fn induced_charge(&self, voltages: &[f64]) -> Result<Vec<f64>, PhysicsError> {
+    fn induced_charge(&self, voltages: &[f64]) -> Result<Vec<f64>, PhysicsError> {
         if voltages.len() != self.n_gates {
             return Err(PhysicsError::GateCountMismatch {
                 expected: self.n_gates,

@@ -137,17 +137,6 @@ impl LinearArrayDevice {
         self.solver.ground_state(&self.model, voltages)
     }
 
-    /// Thermal mean occupations at `voltages`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhysicsError::GateCountMismatch`] for a wrong-length
-    /// voltage vector.
-    pub fn mean_occupation(&self, voltages: &[f64]) -> Result<Vec<f64>, PhysicsError> {
-        self.solver
-            .thermal_occupation(&self.model, voltages, self.temperature)
-    }
-
     /// Analytic ground truth for the adjacent pair `(pair, pair + 1)`,
     /// in the plane of gates `pair` (x-axis) and `pair + 1` (y-axis).
     ///
@@ -273,7 +262,6 @@ impl LinearArrayDevice {
 #[derive(Debug, Clone)]
 pub struct DeviceBuilder {
     n_dots: usize,
-    totals: Vec<f64>,
     mutual: f64,
     lever_arms: Option<Vec<Vec<f64>>>,
     temperature: f64,
@@ -292,20 +280,12 @@ impl DeviceBuilder {
     pub fn linear_array(n_dots: usize) -> Self {
         Self {
             n_dots,
-            totals: vec![1.0; n_dots],
             mutual: 0.15,
             lever_arms: None,
             temperature: 0.012,
             max_electrons: 3,
             sensor: None,
         }
-    }
-
-    /// Sets total dot capacitances (one per dot).
-    #[must_use]
-    pub fn total_capacitances(mut self, totals: Vec<f64>) -> Self {
-        self.totals = totals;
-        self
     }
 
     /// Sets the nearest-neighbour mutual capacitance (uniform).
@@ -319,13 +299,6 @@ impl DeviceBuilder {
     #[must_use]
     pub fn lever_arms(mut self, arms: [[f64; 2]; 2]) -> Self {
         self.lever_arms = Some(arms.iter().map(|r| r.to_vec()).collect());
-        self
-    }
-
-    /// Sets an arbitrary lever-arm matrix (row per dot, column per gate).
-    #[must_use]
-    pub fn lever_arm_matrix(mut self, arms: Vec<Vec<f64>>) -> Self {
-        self.lever_arms = Some(arms);
         self
     }
 
@@ -389,7 +362,8 @@ impl DeviceBuilder {
             Some(arms) => arms,
             None => default_lever_arms(n),
         };
-        let model = CapacitanceModel::new(&self.totals, &mutuals, &lever_arms)?;
+        // Unit total capacitance per dot.
+        let model = CapacitanceModel::new(&vec![1.0; n], &mutuals, &lever_arms)?;
         let sensor = match self.sensor {
             Some(s) => s,
             None => SensorModel::with_defaults(n, n)?,
@@ -434,6 +408,14 @@ mod tests {
         DeviceBuilder::double_dot().build().unwrap()
     }
 
+    /// Thermal mean occupation of dot 0 at `voltages`.
+    fn dot0_occupation(d: &DoubleDotDevice, voltages: &[f64]) -> f64 {
+        let a = d.as_array();
+        a.solver
+            .thermal_occupation(&a.model, voltages, a.temperature)
+            .unwrap()[0]
+    }
+
     #[test]
     fn default_double_dot_builds() {
         let d = device();
@@ -475,7 +457,7 @@ mod tests {
     }
 
     #[test]
-    fn custom_lever_arms_change_ground_truth() {
+    fn lever_arms_change_ground_truth() {
         let strong_cross = DeviceBuilder::double_dot()
             .lever_arms([[0.010, 0.004], [0.004, 0.010]])
             .build()
@@ -522,7 +504,7 @@ mod tests {
         let mut saw_fraction = false;
         for step in 0..300 {
             let v1 = step as f64 * 0.4;
-            let occ = d.as_array().mean_occupation(&[v1, 10.0]).unwrap()[0];
+            let occ = dot0_occupation(&d, &[v1, 10.0]);
             if occ > 0.25 && occ < 0.75 {
                 saw_fraction = true;
                 break;
@@ -579,7 +561,7 @@ mod tests {
             let mut hi = 150.0;
             for _ in 0..50 {
                 let mid = 0.5 * (lo + hi);
-                let occ = d.as_array().mean_occupation(&[mid, v2]).unwrap()[0];
+                let occ = dot0_occupation(&d, &[mid, v2]);
                 if occ < 0.5 {
                     lo = mid;
                 } else {

@@ -222,11 +222,6 @@ impl PinkNoise {
             .collect();
         Self { octaves }
     }
-
-    /// Number of octaves (OU components).
-    pub fn n_octaves(&self) -> usize {
-        self.octaves.len()
-    }
 }
 
 impl NoiseModel for PinkNoise {
@@ -239,18 +234,6 @@ impl NoiseModel for PinkNoise {
             o.reset();
         }
     }
-}
-
-/// No noise at all. Useful as a baseline in tests and ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NoNoise;
-
-impl NoiseModel for NoNoise {
-    fn sample(&mut self, _rng: &mut dyn rand::RngCore) -> f64 {
-        0.0
-    }
-
-    fn reset(&mut self) {}
 }
 
 /// Sum of an arbitrary stack of noise processes.
@@ -433,17 +416,9 @@ mod tests {
     }
 
     #[test]
-    fn no_noise_is_silent() {
-        let mut n = NoNoise;
-        let mut r = rng();
-        assert_eq!(n.sample(&mut r), 0.0);
-    }
-
-    #[test]
     fn pink_noise_statistics() {
         let sigma = 0.5;
         let mut p = PinkNoise::new(sigma, 5, 0.5);
-        assert_eq!(p.n_octaves(), 5);
         let mut r = rng();
         // Warm up past the slowest octave's relaxation time.
         for _ in 0..20_000 {
@@ -512,7 +487,6 @@ mod tests {
             Box::new(WhiteNoise::new(1.0)),
             Box::new(DriftNoise::new(0.1, 0.01)),
             Box::new(TelegraphNoise::new(1.0, 0.1)),
-            Box::new(NoNoise),
         ];
         let mut r = rng();
         for m in &mut models {

@@ -128,16 +128,6 @@ impl SensorModel {
         self.gate_crosstalk.len()
     }
 
-    /// Per-dot sensor shift `κ_i`.
-    pub fn electron_shifts(&self) -> &[f64] {
-        &self.electron_shifts
-    }
-
-    /// Per-gate crosstalk `χ_g`.
-    pub fn gate_crosstalk(&self) -> &[f64] {
-        &self.gate_crosstalk
-    }
-
     /// Noise-free sensor current (nA) for mean occupations `occupations`
     /// at gate voltages `voltages`.
     ///
@@ -167,18 +157,6 @@ impl SensorModel {
         // tanh flank: linear for |phi| << flank_scale, saturating beyond.
         Ok(self.base_current + 0.5 * self.swing * (phi / self.flank_scale).tanh())
     }
-
-    /// Magnitude of the current step produced by adding one electron to
-    /// `dot`, in the linear-flank approximation. Useful for calibrating
-    /// noise amplitudes relative to the signal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dot` is out of range.
-    pub fn step_amplitude(&self, dot: usize) -> f64 {
-        assert!(dot < self.electron_shifts.len(), "dot index out of bounds");
-        0.5 * self.swing * self.electron_shifts[dot] / self.flank_scale
-    }
 }
 
 #[cfg(test)]
@@ -194,7 +172,7 @@ mod tests {
         let s = sensor();
         assert_eq!(s.n_dots(), 2);
         assert_eq!(s.n_gates(), 2);
-        assert!(s.electron_shifts()[0] > s.electron_shifts()[1]);
+        assert!(s.electron_shifts[0] > s.electron_shifts[1]);
     }
 
     #[test]
@@ -244,19 +222,6 @@ mod tests {
         let base = 5.0;
         let swing = 4.0;
         assert!(extreme <= base + 0.5 * swing + 1e-9);
-    }
-
-    #[test]
-    fn step_amplitude_matches_linear_regime() {
-        let s = sensor();
-        let v = [0.0, 0.0];
-        // Around phi ≈ 0 the tanh is nearly linear, so the actual step is
-        // close to the linear estimate.
-        let base = s.current(&[0.0, 0.0], &v).unwrap();
-        let one = s.current(&[1.0, 0.0], &v).unwrap();
-        let actual = base - one;
-        let linear = s.step_amplitude(0);
-        assert!((actual - linear).abs() / linear < 0.1);
     }
 
     #[test]

@@ -57,16 +57,6 @@ impl EdgeMap {
         self.height
     }
 
-    /// Whether pixel `(x, y)` is an edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pixel is out of bounds.
-    pub fn is_edge(&self, x: usize, y: usize) -> bool {
-        assert!(x < self.width && y < self.height, "pixel out of bounds");
-        self.edges[y * self.width + x]
-    }
-
     /// Number of edge pixels.
     pub fn edge_count(&self) -> usize {
         self.edges.iter().filter(|&&e| e).count()
@@ -329,7 +319,5 @@ mod tests {
         assert_eq!(e.height(), 32);
         let pixels = e.edge_pixels();
         assert_eq!(pixels.len(), e.edge_count());
-        let p = pixels[0];
-        assert!(e.is_edge(p.x, p.y));
     }
 }

@@ -66,11 +66,6 @@ impl HoughLine {
             Some(self.rho / s)
         }
     }
-
-    /// `y` coordinate at a given `x`, or `None` if vertical.
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        Some(self.slope()? * x + self.intercept()?)
-    }
 }
 
 /// Runs the Hough transform and returns peak lines, strongest first.
@@ -313,14 +308,14 @@ mod tests {
     }
 
     #[test]
-    fn y_at_evaluates_line() {
+    fn horizontal_line_has_zero_slope_and_its_rho_as_intercept() {
         let l = HoughLine {
             rho: 10.0,
             theta: std::f64::consts::FRAC_PI_2,
             votes: 1,
         };
         // θ = π/2 → horizontal line y = 10.
-        assert!((l.y_at(100.0).unwrap() - 10.0).abs() < 1e-9);
+        assert!((l.intercept().unwrap() - 10.0).abs() < 1e-9);
         assert!((l.slope().unwrap()).abs() < 1e-9);
     }
 }

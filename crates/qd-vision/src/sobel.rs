@@ -65,11 +65,6 @@ impl GradientField {
         self.gy(x, y).atan2(self.gx(x, y))
     }
 
-    /// Raw magnitude buffer (row-major, row 0 = bottom).
-    pub fn magnitudes(&self) -> &[f64] {
-        &self.magnitude
-    }
-
     /// Maximum magnitude over the image.
     pub fn max_magnitude(&self) -> f64 {
         self.magnitude.iter().cloned().fold(0.0, f64::max)
@@ -165,7 +160,6 @@ mod tests {
         let c = Csd::constant(grid(7, 7), 4.0).unwrap();
         let g = sobel(&c).unwrap();
         assert_eq!(g.max_magnitude(), 0.0);
-        assert_eq!(g.magnitudes().len(), 49);
     }
 
     #[test]

@@ -162,17 +162,10 @@ impl FleetHealth {
             .collect()
     }
 
-    /// Number of shards currently receiving traffic.
-    pub fn healthy_count(&self) -> usize {
-        (0..self.shards.len())
-            .filter(|&i| self.state(i).strikes < EJECT_AFTER)
-            .count()
-    }
-
     /// One poll sweep: probes every healthy shard, and ejected shards
-    /// whose backoff has elapsed. Called by [`spawn_prober`]; public so
-    /// tests can drive the clock themselves.
-    pub fn probe_once(&self) {
+    /// whose backoff has elapsed. Called by [`spawn_prober`], and by
+    /// tests that drive the clock themselves.
+    fn probe_once(&self) {
         for shard in &self.shards {
             {
                 let state = self.shards[self.index_of(&shard.addr).unwrap()]
@@ -254,7 +247,7 @@ mod tests {
         h.report_failure("a:1");
         assert!(!h.is_healthy("a:1"));
         assert!(h.is_healthy("b:2"), "ejection is per shard");
-        assert_eq!(h.healthy_count(), 1);
+        assert_eq!(h.reports().iter().filter(|r| r.healthy).count(), 1);
         h.report_success("a:1");
         assert!(h.is_healthy("a:1"), "one success reinstates");
         assert_eq!(h.reports()[0].ejections, 1);

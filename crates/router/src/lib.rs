@@ -71,7 +71,7 @@ pub mod proxy;
 pub mod ring;
 
 pub use health::{FleetHealth, ShardReport, EJECT_AFTER};
-pub use proxy::{wait_healthy, RouterMetrics, RouterService, MAX_SHARDS};
+pub use proxy::{RouterMetrics, RouterService, MAX_SHARDS};
 pub use ring::{HashRing, RingMember, DEFAULT_REPLICAS};
 
 use fastvg_obs::FlusherHandle;

@@ -30,7 +30,7 @@ use crate::RouterConfig;
 use fastvg_obs::{ActiveSpan, SpanId, TraceId, Tracer};
 use fastvg_serve::http::{deferred, Completer, Handler, Outcome, Request, Response, ServerStats};
 use fastvg_serve::metrics::{family, render_build_info, Counter, Gauge, Histogram};
-use fastvg_serve::{Client, ClientConfig, ClientResponse, ExtractParser, RequestError};
+use fastvg_serve::{ClientConfig, ClientResponse, ExtractParser, RequestError};
 use fastvg_wire::{Json, TraceContext, TRACE_HEADER};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -989,24 +989,6 @@ impl RouterService {
             }
         }
     }
-}
-
-/// Helper used by the binary and tests: `Client` reconnect loop until a
-/// router/daemon at `addr` answers `/healthz` with 200, bounded by
-/// `deadline`.
-pub fn wait_healthy(addr: &str, deadline: Duration) -> bool {
-    let until = Instant::now() + deadline;
-    while Instant::now() < until {
-        let ok = Client::connect_with_timeout(addr, Duration::from_secs(2))
-            .and_then(|mut c| c.get("/healthz"))
-            .map(|r| r.status == 200)
-            .unwrap_or(false);
-        if ok {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    false
 }
 
 #[cfg(test)]

@@ -58,9 +58,11 @@ struct Entry {
     touched: u64,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Shard {
     entries: HashMap<u64, Entry>,
+    /// This shard's share of the total capacity.
+    capacity: usize,
 }
 
 /// A sharded, fingerprint-keyed LRU map from canonical requests to
@@ -68,17 +70,28 @@ struct Shard {
 #[derive(Debug)]
 pub struct ResultCache {
     shards: Vec<Mutex<Shard>>,
-    per_shard_capacity: usize,
+    capacity: usize,
     clock: AtomicU64,
 }
 
 impl ResultCache {
-    /// An empty cache.
+    /// An empty cache. Never holds more than `config.capacity` entries:
+    /// it uses at most one shard per entry, and the shard capacities
+    /// sum to exactly `config.capacity` (the first `capacity % shards`
+    /// shards hold one entry more than the rest).
     pub fn new(config: CacheConfig) -> Self {
-        let shards = config.shards.max(1);
+        let shards = config.shards.clamp(1, config.capacity.max(1));
+        let (base, extra) = (config.capacity / shards, config.capacity % shards);
         Self {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard_capacity: config.capacity.div_ceil(shards),
+            shards: (0..shards)
+                .map(|i| {
+                    Mutex::new(Shard {
+                        entries: HashMap::new(),
+                        capacity: base + usize::from(i < extra),
+                    })
+                })
+                .collect(),
+            capacity: config.capacity,
             clock: AtomicU64::new(0),
         }
     }
@@ -98,7 +111,7 @@ impl ResultCache {
     /// Looks up the stored result for `(fingerprint, key)`, refreshing
     /// its LRU position on hit.
     pub fn get(&self, fingerprint: u64, key: &str) -> Option<CachedResult> {
-        if self.per_shard_capacity == 0 {
+        if self.capacity == 0 {
             return None;
         }
         let tick = self.tick();
@@ -118,7 +131,7 @@ impl ResultCache {
     /// canonical key gets the entry plus the key that owns it.
     /// Refreshes the LRU position like [`ResultCache::get`].
     pub fn peek(&self, fingerprint: u64) -> Option<(String, CachedResult)> {
-        if self.per_shard_capacity == 0 {
+        if self.capacity == 0 {
             return None;
         }
         let tick = self.tick();
@@ -131,7 +144,7 @@ impl ResultCache {
     /// Stores a result under `(fingerprint, key)`, evicting the shard's
     /// least-recently-used entry when over capacity.
     pub fn insert(&self, fingerprint: u64, key: &str, result: CachedResult) {
-        if self.per_shard_capacity == 0 {
+        if self.capacity == 0 {
             return;
         }
         let tick = self.tick();
@@ -144,7 +157,7 @@ impl ResultCache {
                 touched: tick,
             },
         );
-        while shard.entries.len() > self.per_shard_capacity {
+        while shard.entries.len() > shard.capacity {
             let oldest = shard
                 .entries
                 .iter()
@@ -221,6 +234,18 @@ mod tests {
         assert!(c.get(2, "k2").is_none(), "LRU entry evicted");
         assert!(c.get(1, "k1").is_some());
         assert!(c.get(3, "k3").is_some());
+    }
+
+    #[test]
+    fn never_holds_more_than_capacity() {
+        for capacity in [1, 3, 10] {
+            let c = cache(capacity, 8);
+            for fp in 0..1000u64 {
+                c.insert(fp, &format!("k{fp}"), ok(b"x"));
+                assert!(c.len() <= capacity, "{} > {capacity}", c.len());
+            }
+            assert_eq!(c.len(), capacity, "shard capacities sum to the cap");
+        }
     }
 
     #[test]

@@ -104,12 +104,6 @@ impl Histogram {
         Duration::from_nanos(self.sum_ns.load(Ordering::Relaxed))
     }
 
-    /// The shared bucket layout: upper bounds in µs, log-spaced; an
-    /// implicit `+Inf` bucket follows the last bound.
-    pub fn bucket_bounds_us() -> &'static [u64] {
-        &BUCKET_BOUNDS_US
-    }
-
     /// Snapshot of `(upper_bound_us, count)` per bucket, `None` for the
     /// final `+Inf` bucket. Counts are per-bucket, not cumulative.
     pub fn buckets(&self) -> Vec<(Option<u64>, u64)> {
@@ -123,26 +117,6 @@ impl Histogram {
                 )
             })
             .collect()
-    }
-
-    /// Approximate quantile `q` in `[0, 1]`, read off the bucket bounds
-    /// (`None` when empty). Upper-bound biased: the true value is at or
-    /// below the returned bound.
-    pub fn quantile(&self, q: f64) -> Option<Duration> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                let us = BUCKET_BOUNDS_US.get(i).copied().unwrap_or(u64::MAX / 1000);
-                return Some(Duration::from_micros(us));
-            }
-        }
-        None
     }
 
     /// Appends the exposition lines for a histogram named `name`.
@@ -406,17 +380,6 @@ impl Metrics {
         }
         out
     }
-
-    /// The cache hit rate so far (`None` before any lookup).
-    pub fn cache_hit_rate(&self) -> Option<f64> {
-        let hits = self.cache_hits.get();
-        let total = hits + self.cache_misses.get();
-        if total == 0 {
-            None
-        } else {
-            Some(hits as f64 / total as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -435,16 +398,14 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles_are_bucket_bounds() {
+    fn histogram_observations_land_in_their_upper_bound_bucket() {
         let h = Histogram::default();
-        assert_eq!(h.quantile(0.5), None);
         for _ in 0..99 {
             h.observe(Duration::from_micros(80));
         }
         h.observe(Duration::from_millis(40));
-        assert_eq!(h.quantile(0.5), Some(Duration::from_micros(100)));
-        assert_eq!(h.quantile(0.99), Some(Duration::from_micros(100)));
-        assert_eq!(h.quantile(1.0), Some(Duration::from_micros(50_000)));
+        let filled: Vec<_> = h.buckets().into_iter().filter(|&(_, n)| n > 0).collect();
+        assert_eq!(filled, vec![(Some(100), 99), (Some(50_000), 1)]);
         assert_eq!(h.count(), 100);
     }
 
@@ -476,14 +437,5 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
-    }
-
-    #[test]
-    fn hit_rate() {
-        let m = Metrics::default();
-        assert_eq!(m.cache_hit_rate(), None);
-        m.cache_hits.add(3);
-        m.cache_misses.add(1);
-        assert_eq!(m.cache_hit_rate(), Some(0.75));
     }
 }

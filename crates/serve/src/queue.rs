@@ -273,35 +273,6 @@ impl JobQueue {
         inner.jobs.get(&id).map(|entry| entry.state.clone())
     }
 
-    /// Blocks until job `id` finishes, the timeout lapses, or the queue
-    /// stops. Returns the outcome only in the first case.
-    pub fn wait_finished(&self, id: u64, timeout: Duration) -> Option<FinishedJob> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        loop {
-            match inner.jobs.get(&id) {
-                Some(JobEntry {
-                    state: JobState::Finished(finished),
-                    ..
-                }) => return Some(finished.clone()),
-                Some(_) => {}
-                None => return None,
-            }
-            if inner.stopping {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(inner, deadline - now)
-                .expect("queue poisoned");
-            inner = guard;
-        }
-    }
-
     /// Takes the oldest pending job (blocking while the queue is empty)
     /// and marks it running, returning its id, request and submit time.
     /// Returns `None` once the queue is stopping and drained — a
@@ -322,8 +293,8 @@ impl JobQueue {
         }
     }
 
-    /// Records a job's outcome and wakes any waiters — blocking
-    /// (`wait_finished`) and subscribed (`on_finished`) alike.
+    /// Records a job's outcome and fires its [`JobQueue::on_finished`]
+    /// subscribers.
     pub fn finish(&self, id: u64, finished: FinishedJob) {
         let mut inner = self.inner.lock().expect("queue poisoned");
         let mut fire: Vec<FinishedCallback> = Vec::new();
@@ -335,7 +306,6 @@ impl JobQueue {
             }
         }
         drop(inner);
-        self.cv.notify_all();
         // Callbacks run outside the queue lock: they may grab other locks
         // (the reactor's completion list) or be arbitrarily slow.
         for callback in fire {
@@ -343,10 +313,9 @@ impl JobQueue {
         }
     }
 
-    /// Subscribes a one-shot callback for job `id`, the non-blocking
-    /// sibling of [`JobQueue::wait_finished`] (this is how the reactor's
-    /// deferred `?wait` responses get completed). The callback fires
-    /// on whichever thread resolves the job:
+    /// Subscribes a one-shot callback for job `id` (this is how the
+    /// reactor's deferred `?wait` responses get completed). The callback
+    /// fires on whichever thread resolves the job:
     ///
     /// * immediately on this thread if the job already finished (or is
     ///   unknown / the queue is stopping — then with `None`);
@@ -410,7 +379,7 @@ pub fn result_body(report: &ExtractionReport) -> Vec<u8> {
 
 /// Serializes an extraction failure into the newline-framed result
 /// document (`{"ok":false,"error":{…}}`), flattening the taxonomy chain.
-pub fn failure_body(error: &ExtractError) -> Vec<u8> {
+fn failure_body(error: &ExtractError) -> Vec<u8> {
     let mut body = Json::object()
         .field("ok", false)
         .field("error", error.to_wire().to_json())
@@ -703,6 +672,20 @@ mod tests {
     use super::*;
     use crate::cache::CacheConfig;
 
+    /// Blocks until job `id` resolves: its outcome, or `None` when the
+    /// id is unknown or the queue stopped first.
+    fn resolved_outcome(q: &JobQueue, id: u64) -> Option<FinishedJob> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        q.on_finished(
+            id,
+            Box::new(move |finished| {
+                let _ = tx.send(finished);
+            }),
+        );
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("job resolves in time")
+    }
+
     fn request(seed: u64) -> JobRequest {
         let mut spec = BenchmarkSpec::clean(0, 64);
         spec.seed = seed;
@@ -736,7 +719,7 @@ mod tests {
         let id = q.submit(request(7)).unwrap();
         let waiter = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.wait_finished(id, Duration::from_secs(5)))
+            std::thread::spawn(move || resolved_outcome(&q, id))
         };
         let (taken, _, _) = q.take().unwrap();
         q.finish(
@@ -754,21 +737,14 @@ mod tests {
     }
 
     #[test]
-    fn wait_times_out_and_stop_unblocks() {
+    fn take_drains_then_stop_unblocks() {
         let q = Arc::new(JobQueue::new(8, 16));
-        let id = q.submit(request(9)).unwrap();
-        assert!(q.wait_finished(id, Duration::from_millis(30)).is_none());
+        q.submit(request(9)).unwrap();
 
         let blocked = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.take())
         };
-        let waiter = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.wait_finished(9999, Duration::from_secs(30)))
-        };
-        // Unknown job id returns immediately.
-        assert!(waiter.join().unwrap().is_none());
         // take first drains the one pending job…
         assert!(blocked.join().unwrap().is_some());
         // …then stop() makes the next take return None.
@@ -870,9 +846,7 @@ mod tests {
 
         fn run(&self, request: JobRequest) -> FinishedJob {
             let id = self.queue.submit(request).unwrap();
-            self.queue
-                .wait_finished(id, Duration::from_secs(60))
-                .expect("job finishes")
+            resolved_outcome(&self.queue, id).expect("job finishes")
         }
 
         fn stop(self) {
@@ -946,12 +920,7 @@ mod tests {
             .collect();
         let outcomes: Vec<FinishedJob> = ids
             .iter()
-            .map(|&id| {
-                daemon
-                    .queue
-                    .wait_finished(id, Duration::from_secs(60))
-                    .expect("job finishes")
-            })
+            .map(|&id| resolved_outcome(&daemon.queue, id).expect("job finishes"))
             .collect();
         for outcome in &outcomes {
             assert!(outcome.ok, "clean spec must extract");
@@ -1068,10 +1037,7 @@ mod tests {
         assert_eq!(daemon.metrics.jobs_running.get(), 1);
 
         release.send(()).unwrap();
-        let finished = daemon
-            .queue
-            .wait_finished(a, Duration::from_secs(60))
-            .expect("A finishes once released");
+        let finished = resolved_outcome(&daemon.queue, a).expect("A finishes once released");
         assert!(finished.ok);
         assert_eq!(daemon.metrics.jobs_running.get(), 0);
         daemon.stop();

@@ -50,46 +50,16 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct RemoteExtractor {
     addr: String,
-    method: Method,
-    timeout: Duration,
-    client: ClientConfig,
 }
+
+/// End-to-end cap on one remote extraction, connect included.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(120);
 
 impl RemoteExtractor {
     /// A remote fast extraction against the daemon at `addr`
     /// (`"host:port"`).
     pub fn new(addr: impl Into<String>) -> Self {
-        Self {
-            addr: addr.into(),
-            method: Method::FastExtraction,
-            timeout: Duration::from_secs(120),
-            client: ClientConfig::new(),
-        }
-    }
-
-    /// Selects the method the daemon should run (builder style).
-    #[must_use]
-    pub fn with_method(mut self, method: Method) -> Self {
-        self.method = method;
-        self
-    }
-
-    /// Caps the end-to-end request time, connect included (builder
-    /// style; default 120 s).
-    #[must_use]
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// Adopts a full transport policy — retries, connect timeout,
-    /// `TCP_NODELAY` (builder style). The read timeout is still governed
-    /// by [`RemoteExtractor::with_timeout`], which caps the whole
-    /// request.
-    #[must_use]
-    pub fn with_client_config(mut self, config: ClientConfig) -> Self {
-        self.client = config;
-        self
+        Self { addr: addr.into() }
     }
 
     /// The daemon address.
@@ -113,7 +83,7 @@ impl RemoteExtractor {
         let grid = csd.grid();
         let (x0, y0) = grid.origin();
         let mut body = Json::object()
-            .field("method", self.method.wire_name())
+            .field("method", Method::FastExtraction.wire_name())
             .field(
                 "grid",
                 Json::object()
@@ -182,8 +152,7 @@ impl RemoteExtractor {
         loop {
             if Instant::now() >= deadline {
                 return Err(Self::protocol(format!(
-                    "job {job} did not finish within {:?}",
-                    self.timeout
+                    "job {job} did not finish within {REQUEST_TIMEOUT:?}"
                 )));
             }
             std::thread::sleep(Duration::from_millis(50));
@@ -206,11 +175,11 @@ impl RemoteExtractor {
 
 impl Extractor for RemoteExtractor {
     fn method(&self) -> Method {
-        self.method
+        Method::FastExtraction
     }
 
     fn extract(&self, session: &mut SessionView<'_>) -> Result<ExtractionReport, ExtractError> {
-        let deadline = Instant::now() + self.timeout;
+        let deadline = Instant::now() + REQUEST_TIMEOUT;
 
         // The local half: acquire the instrument's full window once.
         // Observers see it as an Acquire stage; the *returned* report's
@@ -221,10 +190,8 @@ impl Extractor for RemoteExtractor {
         let csd = acquired?;
 
         let body = self.grid_request(&csd);
-        let mut client = self
-            .client
-            .clone()
-            .read_timeout(self.timeout)
+        let mut client = ClientConfig::new()
+            .read_timeout(REQUEST_TIMEOUT)
             .connect(&self.addr)
             .map_err(Self::transport)?;
         let response = client
@@ -320,8 +287,7 @@ mod tests {
             let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             listener.local_addr().unwrap().port()
         };
-        let remote =
-            RemoteExtractor::new(format!("127.0.0.1:{port}")).with_timeout(Duration::from_secs(2));
+        let remote = RemoteExtractor::new(format!("127.0.0.1:{port}"));
         let mut session = MeasurementSession::new(CsdSource::new(diagram(32)));
         let err = extract_with(&remote, &mut session).unwrap_err();
         assert_eq!(err.category(), fastvg_core::ErrorCategory::Remote);

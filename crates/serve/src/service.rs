@@ -52,8 +52,9 @@ pub const REQUEST_BACKEND_SCHEMES: [&str; 3] = ["sim", "throttled", "hwsim"];
 
 /// Daemon configuration.
 ///
-/// Construct via [`ServeConfig::builder`] to get hostile values rejected
-/// up front, or fill the fields directly and let [`start`] validate.
+/// Fill the fields over [`ServeConfig::default`]; [`start`] runs
+/// [`ServeConfig::validate`], and callers wanting hostile values
+/// rejected before binding can run it themselves.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address (`"127.0.0.1:0"` for an ephemeral port).
@@ -125,16 +126,7 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// A fluent builder over the defaults, mirroring
-    /// `fastvg_core::Pipeline`.
-    pub fn builder() -> ServeConfigBuilder {
-        ServeConfigBuilder {
-            config: ServeConfig::default(),
-        }
-    }
-
-    /// Checks every field against its sane range; [`start`] runs this,
-    /// and [`ServeConfigBuilder::build`] runs it early.
+    /// Checks every field against its sane range; [`start`] runs this.
     ///
     /// # Errors
     ///
@@ -187,120 +179,6 @@ impl ServeConfig {
             .resolve(&self.backend)
             .map_err(|e| ConfigError::new("backend", e.to_string()))?;
         Ok(())
-    }
-}
-
-/// Builder for [`ServeConfig`] — every setter is fluent, and
-/// [`ServeConfigBuilder::build`] rejects hostile values at construction
-/// instead of at [`start`].
-#[derive(Debug, Clone)]
-#[must_use = "the builder does nothing until build() is called"]
-pub struct ServeConfigBuilder {
-    config: ServeConfig,
-}
-
-impl ServeConfigBuilder {
-    /// Bind address (`"127.0.0.1:0"` for an ephemeral port).
-    pub fn addr(mut self, addr: impl Into<String>) -> Self {
-        self.config.addr = addr.into();
-        self
-    }
-
-    /// Concurrent extraction workers (`0` = one per core).
-    pub fn extract_jobs(mut self, jobs: usize) -> Self {
-        self.config.extract_jobs = jobs;
-        self
-    }
-
-    /// Maximum pending jobs before `POST /extract` answers 503.
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.config.queue_capacity = capacity;
-        self
-    }
-
-    /// Result-cache sizing.
-    pub fn cache(mut self, cache: CacheConfig) -> Self {
-        self.config.cache = cache;
-        self
-    }
-
-    /// Maximum request body bytes.
-    pub fn max_body_bytes(mut self, bytes: usize) -> Self {
-        self.config.max_body_bytes = bytes;
-        self
-    }
-
-    /// How long `?wait` requests may stay pending before the `202`
-    /// fallback.
-    pub fn wait_timeout(mut self, timeout: Duration) -> Self {
-        self.config.wait_timeout = timeout;
-        self
-    }
-
-    /// Maximum concurrently open connections.
-    pub fn max_connections(mut self, connections: usize) -> Self {
-        self.config.max_connections = connections;
-        self
-    }
-
-    /// Per-request read deadline (anti-slowloris).
-    pub fn request_read_deadline(mut self, deadline: Duration) -> Self {
-        self.config.request_read_deadline = deadline;
-        self
-    }
-
-    /// Keep-alive idle timeout between requests.
-    pub fn idle_timeout(mut self, timeout: Duration) -> Self {
-        self.config.idle_timeout = timeout;
-        self
-    }
-
-    /// Graceful-shutdown drain deadline.
-    pub fn drain_deadline(mut self, deadline: Duration) -> Self {
-        self.config.drain_deadline = deadline;
-        self
-    }
-
-    /// Default probe backend spec (operator-side, tape schemes allowed).
-    pub fn backend(mut self, spec: impl Into<String>) -> Self {
-        self.config.backend = spec.into();
-        self
-    }
-
-    /// Whether to serve the fleet cache-peering endpoints
-    /// (`GET`/`PUT /cache/<fingerprint>`).
-    pub fn cache_peering(mut self, enabled: bool) -> Self {
-        self.config.cache_peering = enabled;
-        self
-    }
-
-    /// Newline-JSON span export path (also turns on tracing of every
-    /// request, not only those carrying `x-fastvg-trace`).
-    pub fn trace_out(mut self, path: impl Into<PathBuf>) -> Self {
-        self.config.trace_out = Some(path.into());
-        self
-    }
-
-    /// Fixed trace/span id seed for reproducible replay tests.
-    pub fn trace_seed(mut self, seed: u64) -> Self {
-        self.config.trace_seed = Some(seed);
-        self
-    }
-
-    /// Slow-request log threshold (off by default).
-    pub fn slow_threshold(mut self, threshold: Duration) -> Self {
-        self.config.slow_threshold = Some(threshold);
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first out-of-range field as a [`ConfigError`].
-    pub fn build(self) -> Result<ServeConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -1373,34 +1251,65 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_accepts_sane_and_rejects_hostile() {
-        let config = ServeConfig::builder()
-            .addr("127.0.0.1:0")
-            .extract_jobs(2)
-            .queue_capacity(64)
-            .max_connections(512)
-            .wait_timeout(Duration::from_secs(5))
-            .request_read_deadline(Duration::from_secs(10))
-            .idle_timeout(Duration::from_secs(3))
-            .drain_deadline(Duration::from_secs(10))
-            .backend("throttled:1ms")
-            .build()
-            .expect("sane config builds");
-        assert_eq!(config.max_connections, 512);
-        assert_eq!(config.backend, "throttled:1ms");
+    fn validate_accepts_sane_and_rejects_hostile() {
+        let sane = || ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            ..ServeConfig::default()
+        };
+        let config = ServeConfig {
+            extract_jobs: 2,
+            queue_capacity: 64,
+            max_connections: 512,
+            wait_timeout: Duration::from_secs(5),
+            request_read_deadline: Duration::from_secs(10),
+            idle_timeout: Duration::from_secs(3),
+            drain_deadline: Duration::from_secs(10),
+            backend: "throttled:1ms".into(),
+            ..sane()
+        };
+        config.validate().expect("sane config validates");
 
-        let hostile: [(&str, ServeConfigBuilder); 5] = [
-            ("addr", ServeConfig::builder().addr("")),
-            ("queue_capacity", ServeConfig::builder().queue_capacity(0)),
-            ("max_connections", ServeConfig::builder().max_connections(0)),
+        let hostile = [
+            (
+                "addr",
+                ServeConfig {
+                    addr: String::new(),
+                    ..sane()
+                },
+            ),
+            (
+                "queue_capacity",
+                ServeConfig {
+                    queue_capacity: 0,
+                    ..sane()
+                },
+            ),
+            (
+                "max_connections",
+                ServeConfig {
+                    max_connections: 0,
+                    ..sane()
+                },
+            ),
             (
                 "wait_timeout",
-                ServeConfig::builder().wait_timeout(Duration::ZERO),
+                ServeConfig {
+                    wait_timeout: Duration::ZERO,
+                    ..sane()
+                },
             ),
-            ("backend", ServeConfig::builder().backend("nope:xyz")),
+            (
+                "backend",
+                ServeConfig {
+                    backend: "nope:xyz".into(),
+                    ..sane()
+                },
+            ),
         ];
-        for (field, builder) in hostile {
-            let err = builder.build().expect_err("hostile value must be rejected");
+        for (field, config) in hostile {
+            let err = config
+                .validate()
+                .expect_err("hostile value must be rejected");
             assert_eq!(err.field(), field, "{err}");
         }
     }

@@ -1,8 +1,9 @@
 //! Framing-edge tests for the epoll reactor, over raw sockets: the
 //! cases a friendly keep-alive client never produces — pipelined
-//! segments, heads split across writes, slowloris bodies, half-open
-//! disconnects, accept-time overload, and graceful drain with a
-//! response still in flight.
+//! segments, heads split across writes (at every byte offset of a
+//! pipelined pair), slowloris bodies, half-open disconnects,
+//! accept-time overload, and graceful drain with a response still in
+//! flight.
 
 use fastvg_serve::{
     deferred, Completer, Handler, HttpConfig, HttpServer, Outcome, Request, Response,
@@ -169,6 +170,38 @@ fn heads_split_across_many_writes_still_parse() {
     let (status, _, body) = read_response(&mut stream);
     assert_eq!(status, 200);
     assert_eq!(body, b"POST /split:abcd");
+    ts.server.shutdown_handle().shutdown();
+    ts.server.join();
+}
+
+#[test]
+fn pipelined_requests_split_at_every_byte_offset_still_parse() {
+    let ts = boot(|_| {});
+    let wire: &[u8] = b"GET /first HTTP/1.1\r\nhost: t\r\n\r\n\
+                        POST /second HTTP/1.1\r\nhost: t\r\ncontent-length: 5\r\n\r\nhello";
+    for split in 1..wire.len() {
+        let mut stream = connect(&ts.addr);
+        stream.set_nodelay(true).unwrap();
+        stream.write_all(&wire[..split]).unwrap();
+        stream.flush().unwrap();
+        // Let the first write land on its own before the rest follows.
+        std::thread::sleep(Duration::from_millis(2));
+        stream.write_all(&wire[split..]).unwrap();
+        stream.flush().unwrap();
+        let mut buf = Vec::new();
+        let (status, _, body) = read_response_into(&mut stream, &mut buf);
+        assert_eq!(
+            (status, body.as_slice()),
+            (200, b"GET /first".as_slice()),
+            "split at byte {split}"
+        );
+        let (status, _, body) = read_response_into(&mut stream, &mut buf);
+        assert_eq!(
+            (status, body.as_slice()),
+            (200, b"POST /second:hello".as_slice()),
+            "split at byte {split}"
+        );
+    }
     ts.server.shutdown_handle().shutdown();
     ts.server.join();
 }

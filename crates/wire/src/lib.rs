@@ -184,11 +184,6 @@ impl Json {
         }
     }
 
-    /// Whether this value is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// The boolean value, if this is a bool.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -946,7 +941,6 @@ mod tests {
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("x"));
         assert_eq!(doc.get("b").and_then(Json::as_bool), Some(false));
         assert_eq!(doc.get("missing"), None);
-        assert!(Json::Null.is_null());
         assert_eq!(Json::Int(-1).as_u64(), None);
     }
 

@@ -142,9 +142,7 @@ pub mod prelude {
     };
     // The service layer and its wire format.
     pub use fastvg_router::{RouterConfig, RouterHandle, ShardSpec};
-    pub use fastvg_serve::{
-        Client, ClientConfig, RemoteExtractor, ServeConfig, ServeConfigBuilder, ServiceHandle,
-    };
+    pub use fastvg_serve::{Client, ClientConfig, RemoteExtractor, ServeConfig, ServiceHandle};
     pub use fastvg_wire::Json;
     // The measurement stack: sessions, sources, and the runtime
     // backend/tape seam.
@@ -152,8 +150,8 @@ pub mod prelude {
         BackendError, BackendRegistry, BoxedSource, BusStats, CsdSource, CurrentSource, DacChannel,
         DacModel, DwellClock, FnSource, HwSimBackend, HwSimPreset, HwSimProfile, HwSimSource,
         MeasurementSession, PhysicsSource, ProbeSession, RecordBackend, RecordingSource,
-        ReplayBackend, ReplayMode, ReplaySource, ScanPattern, SimBackend, SourceBackend,
-        SourceScenario, Tape, ThrottledBackend, ThrottledSource, VoltageWindow,
+        ReplayBackend, ReplaySource, ScanPattern, SimBackend, SourceBackend, SourceScenario, Tape,
+        ThrottledBackend, ThrottledSource, VoltageWindow,
     };
     // Diagrams and devices.
     pub use qd_csd::{Csd, Pixel, VirtualizationMatrix, VoltageGrid};
