@@ -1,8 +1,10 @@
-//! `fastvg-loadgen` — drives a running `fastvg-serve` daemon with
-//! concurrent connections over the 12-benchmark suite and records the
-//! service's throughput/latency/cache profile as
-//! `BENCH_serve_throughput.json` (the cross-PR perf artifact, next to
-//! `BENCH_batch_throughput.json`).
+//! `fastvg-loadgen` — drives a running `fastvg-serve` daemon (or a
+//! `fastvg-router` fleet) with concurrent connections over the
+//! 12-benchmark suite, checks every answer (no failures, cache hits
+//! replay cold bytes), and reports the run's throughput/latency/cache
+//! profile as `BENCH_serve_throughput.json`. It is a correctness smoke
+//! with a load shape, not a benchmark: the tracked performance numbers
+//! come from `benchmark/` (see `benchmark/README.md`).
 //!
 //! ```sh
 //! # Against an external daemon:
@@ -16,11 +18,6 @@
 //!
 //! * `--addr HOST:PORT` — daemon to drive (required unless `--spawn`).
 //! * `--spawn` — boot an in-process daemon instead (ephemeral port).
-//! * `--fleet N` — run the self-contained fleet-scaling study instead
-//!   of the single-daemon passes: boot 1/2/4-shard (capped at `N`)
-//!   router-fronted fleets in-process, measure cold/hot throughput per
-//!   count, then demonstrate cache peering under resharding. Writes
-//!   `BENCH_fleet_scaling.json`; ignores `--addr`/`--spawn`/`--rate`.
 //! * `--connections N` — concurrent keep-alive connections (default 4;
 //!   thousands are fine — connection threads are small-stack and the
 //!   daemon's reactor multiplexes them on one thread).
@@ -88,7 +85,6 @@ use std::time::{Duration, Instant};
 struct Args {
     addr: Option<String>,
     spawn: bool,
-    fleet: Option<usize>,
     connections: usize,
     passes: usize,
     rate: Option<f64>,
@@ -109,7 +105,6 @@ impl Default for Args {
         Self {
             addr: None,
             spawn: false,
-            fleet: None,
             connections: 4,
             passes: 2,
             rate: None,
@@ -138,13 +133,6 @@ fn parse_args() -> Args {
         match arg.as_str() {
             "--addr" => parsed.addr = Some(value("--addr", &mut args)),
             "--spawn" => parsed.spawn = true,
-            "--fleet" => {
-                parsed.fleet = Some(
-                    value("--fleet", &mut args)
-                        .parse()
-                        .expect("--fleet expects a shard count"),
-                )
-            }
             "--connections" => {
                 parsed.connections = value("--connections", &mut args)
                     .parse()
@@ -592,253 +580,8 @@ fn remote_check(addr: &str, record_tape: Option<&std::path::Path>) {
     }
 }
 
-/// `--fleet N`: a self-contained fleet-scaling study. For each shard
-/// count in {1, 2, 4} (capped at `N`) the generator boots that many
-/// in-process daemons behind a [`fastvg_router`] front-end, drives a
-/// cold pass plus a repeated hot suite through the router, and records
-/// throughput, p50/p99 and hit rates per count. It then demonstrates
-/// cache peering under resharding: a warm single-shard fleet gains an
-/// empty sibling, and the next sweep must be served entirely from cache
-/// — locally where ownership stayed put, via `x-fastvg-cache: peer`
-/// where it moved — with the new owner seeded so a final sweep hits
-/// everywhere. Writes `BENCH_fleet_scaling.json`.
-///
-/// Shard daemons share this process's cores, so hot-path throughput
-/// only scales with shard count when spare cores exist; the peering
-/// phase is the scaling evidence that survives a single-core container.
-fn fleet_scaling(args: &Args, max_shards: usize) {
-    use fastvg_router::{start as start_router, RouterConfig, RouterHandle, ShardSpec};
-    use fastvg_serve::ServiceHandle;
-
-    let max_shards = max_shards.clamp(1, 8);
-    let mut benchmarks: Vec<usize> = (1..=12).collect();
-    if let Some(budget) = args.budget {
-        benchmarks.truncate(budget.max(1));
-    }
-    let method = args.method.as_str();
-    let connections = args.connections.clamp(1, benchmarks.len());
-    // Enough hot requests that the rps measurement isn't dominated by
-    // the first-byte costs of a 12-request sweep.
-    const HOT_REPEATS: usize = 8;
-    let hot_suite: Vec<usize> = std::iter::repeat_with(|| benchmarks.iter().copied())
-        .take(HOT_REPEATS)
-        .flatten()
-        .collect();
-
-    let boot_daemon = || -> ServiceHandle {
-        start(ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            ..ServeConfig::default()
-        })
-        .expect("boot fleet daemon")
-    };
-    let boot_router = |daemons: &[ServiceHandle]| -> RouterHandle {
-        start_router(RouterConfig {
-            addr: "127.0.0.1:0".into(),
-            shards: daemons
-                .iter()
-                .map(|d| ShardSpec::new(d.addr().to_string()))
-                .collect(),
-            health_interval: Duration::from_millis(500),
-            ..RouterConfig::default()
-        })
-        .expect("boot fleet router")
-    };
-    let stop_fleet = |fleet: RouterHandle, daemons: Vec<ServiceHandle>| {
-        fleet.shutdown();
-        fleet.join();
-        for daemon in daemons {
-            daemon.shutdown();
-            daemon.join();
-        }
-    };
-
-    let mut counts: Vec<usize> = [1usize, 2, 4]
-        .into_iter()
-        .filter(|&c| c <= max_shards)
-        .collect();
-    if !counts.contains(&max_shards) {
-        counts.push(max_shards);
-    }
-    println!(
-        "fastvg-loadgen: fleet scaling over {counts:?} shard(s), {} cold + {} hot requests per count, {connections} connections",
-        benchmarks.len(),
-        hot_suite.len(),
-    );
-
-    let mut count_docs: Vec<Json> = Vec::new();
-    let mut hot_rps_by_count: BTreeMap<usize, f64> = BTreeMap::new();
-    for &shards in &counts {
-        let daemons: Vec<ServiceHandle> = (0..shards).map(|_| boot_daemon()).collect();
-        let fleet = boot_router(&daemons);
-        let addr = fleet.addr().to_string();
-        // The router's aggregate healthz speaks the daemon dialect.
-        assert_build_info(&addr);
-
-        let (cold, cold_wall) = drive_pass(&addr, &benchmarks, connections, method, None);
-        let (hot, hot_wall) = drive_pass(&addr, &hot_suite, connections, method, None);
-        stop_fleet(fleet, daemons);
-
-        let failures = cold.iter().chain(&hot).filter(|s| s.status != 200).count();
-        assert_eq!(failures, 0, "{shards}-shard fleet served failures");
-        let cold_bodies: BTreeMap<usize, &Vec<u8>> =
-            cold.iter().map(|s| (s.benchmark, &s.body)).collect();
-        let hot_hits = hot.iter().filter(|s| s.is_hit()).count();
-        let peer_hits = hot.iter().filter(|s| s.cache == "peer").count();
-        for sample in &hot {
-            assert!(
-                sample.is_hit(),
-                "{shards}-shard hot pass recomputed benchmark {} (cache={})",
-                sample.benchmark,
-                sample.cache
-            );
-            assert_eq!(
-                Some(&&sample.body),
-                cold_bodies.get(&sample.benchmark),
-                "{shards}-shard hot body for benchmark {} is not byte-identical",
-                sample.benchmark
-            );
-        }
-
-        let cold_rps = cold.len() as f64 / cold_wall.as_secs_f64().max(1e-9);
-        let hot_rps = hot.len() as f64 / hot_wall.as_secs_f64().max(1e-9);
-        let mut hot_ms: Vec<f64> = hot.iter().map(|s| s.latency.as_secs_f64() * 1e3).collect();
-        hot_ms.sort_by(f64::total_cmp);
-        let (p50, p99) = (percentile(&hot_ms, 0.50), percentile(&hot_ms, 0.99));
-        println!(
-            "fleet {shards} shard(s): cold {cold_rps:.1} req/s, hot {hot_rps:.1} req/s | hot p50 {p50:.2}ms p99 {p99:.2}ms | {hot_hits}/{} hits ({peer_hits} peered)",
-            hot.len(),
-        );
-        hot_rps_by_count.insert(shards, hot_rps);
-        count_docs.push(
-            Json::object()
-                .field("shards", shards)
-                .field("cold_requests", cold.len())
-                .field("cold_rps", Json::num(cold_rps))
-                .field("hot_requests", hot.len())
-                .field("hot_rps", Json::num(hot_rps))
-                .field("hot_p50_ms", Json::num(p50))
-                .field("hot_p99_ms", Json::num(p99))
-                .field(
-                    "hot_hit_rate",
-                    Json::num(hot_hits as f64 / hot.len().max(1) as f64),
-                )
-                .field("hot_peer_hits", peer_hits)
-                .build(),
-        );
-    }
-
-    // Peering under resharding: warm one shard, add an empty sibling.
-    // Every key that moved to the newcomer must come back as a peered
-    // byte-identical replay (never a recompute), and the peer sweep
-    // seeds the newcomer so the final sweep hits locally everywhere.
-    let seed_daemon = boot_daemon();
-    let warm_fleet = boot_router(std::slice::from_ref(&seed_daemon));
-    let (warm, _) = drive_pass(
-        &warm_fleet.addr().to_string(),
-        &benchmarks,
-        connections,
-        method,
-        None,
-    );
-    assert!(
-        warm.iter().all(|s| s.status == 200),
-        "warmup sweep must succeed"
-    );
-    warm_fleet.shutdown();
-    warm_fleet.join();
-
-    let daemons = vec![seed_daemon, boot_daemon()];
-    let refleet = boot_router(&daemons);
-    let refleet_addr = refleet.addr().to_string();
-    let (peered, _) = drive_pass(&refleet_addr, &benchmarks, connections, method, None);
-    let warm_bodies: BTreeMap<usize, &Vec<u8>> =
-        warm.iter().map(|s| (s.benchmark, &s.body)).collect();
-    let peer_hits = peered.iter().filter(|s| s.cache == "peer").count();
-    for sample in &peered {
-        assert!(
-            sample.is_hit(),
-            "benchmark {} recomputed despite a warm sibling (cache={})",
-            sample.benchmark,
-            sample.cache
-        );
-        assert_eq!(
-            Some(&&sample.body),
-            warm_bodies.get(&sample.benchmark),
-            "benchmark {} peered body is not byte-identical to the warm shard's",
-            sample.benchmark
-        );
-    }
-    assert!(
-        peer_hits > 0,
-        "resharding {} warm keys onto an empty shard produced no peer hits",
-        benchmarks.len()
-    );
-    let (sealed, _) = drive_pass(&refleet_addr, &benchmarks, connections, method, None);
-    let sealed_local = sealed.iter().filter(|s| s.cache == "hit").count();
-    assert_eq!(
-        sealed_local,
-        sealed.len(),
-        "peer sweep must seed the new owner so the next sweep hits locally"
-    );
-    stop_fleet(refleet, daemons);
-    println!(
-        "fleet reshard 1 -> 2 shards: {peer_hits}/{} keys served by the warm peer (byte-identical), next sweep {sealed_local}/{} local hits",
-        peered.len(),
-        sealed.len(),
-    );
-
-    let speedup = match (hot_rps_by_count.get(&1), hot_rps_by_count.get(&2)) {
-        (Some(one), Some(two)) if *one > 0.0 => Some(two / one),
-        _ => None,
-    };
-    if let Some(speedup) = speedup {
-        println!("fleet hot-path speedup, 2 shards over 1: {speedup:.2}x");
-    }
-
-    let doc = Json::object()
-        .field("bench", "fleet_scaling")
-        .field("suite", "paper12")
-        .field("method", method)
-        .field("connections", connections)
-        .field("hot_repeats", HOT_REPEATS)
-        .field("counts", count_docs)
-        .field(
-            "hot_speedup_2_over_1",
-            match speedup {
-                Some(s) => Json::num(s),
-                None => Json::Null,
-            },
-        )
-        .field(
-            "reshard",
-            Json::object()
-                .field("from_shards", 1u32)
-                .field("to_shards", 2u32)
-                .field("requests", peered.len())
-                .field("peer_hits", peer_hits)
-                .field(
-                    "peer_rate",
-                    Json::num(peer_hits as f64 / peered.len().max(1) as f64),
-                )
-                .field("byte_identical", true)
-                .field("seeded_local_hits", sealed_local)
-                .build(),
-        )
-        .build();
-    std::fs::create_dir_all(&args.out).expect("create artifact dir");
-    let path = args.out.join("BENCH_fleet_scaling.json");
-    std::fs::write(&path, doc.pretty()).expect("write artifact");
-    println!("artifact: {}", path.display());
-}
-
 fn main() {
     let args = parse_args();
-
-    if let Some(max_shards) = args.fleet {
-        fleet_scaling(&args, max_shards);
-        return;
-    }
 
     // Either drive an external daemon or boot one in-process.
     let spawned = if args.spawn {

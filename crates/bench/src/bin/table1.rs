@@ -21,25 +21,22 @@
 //!   bit-for-bit without the generator.
 //! * `--method fast|hough` — run a single method (reduced table, no
 //!   speedup column or artifacts). Default: both.
-//! * `--out DIR` — artifact directory for `table1.csv` / `table1.json` /
-//!   `BENCH_batch_throughput.json` (default `target/artifacts`).
+//! * `--out DIR` — artifact directory for `table1.csv` / `table1.json`
+//!   (default `target/artifacts`).
 //! * `--gate` — exit non-zero unless the reproduction holds the paper's
 //!   quality bar: fast extractor ≥ 10/12 successes **and** mean speedup
 //!   over mutual successes ≥ 5×. This is what CI's `table1-gate` job
 //!   runs, so a quality regression fails the build instead of merging
 //!   silently. Requires both methods.
 //!
-//! Besides the Table 1 artifacts, a run with both methods also times the
-//! whole suite serially vs `--jobs 4` and writes the result to
-//! `BENCH_batch_throughput.json`, so the perf trajectory is tracked
-//! across PRs by the uploaded CI artifact.
+//! The runtime columns are simulated instrument time (dwell plus
+//! compute), the paper's metric; host CPU time is measured by
+//! `benchmark/`.
 
 use fastvg_bench::{csv_f64, fmt_secs, run_method_on, run_suite_on, Artifacts, BenchArgs};
 use fastvg_core::report::SuccessCriteria;
 use fastvg_wire::Json;
 use qd_dataset::paper_suite_jobs;
-use qd_instrument::SourceBackend;
-use std::time::Instant;
 
 /// Gate thresholds (paper: 10/12 successes, speedups 5.84×–19.34×).
 const GATE_MIN_FAST_SUCCESSES: usize = 10;
@@ -211,16 +208,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         base_successes,
         mean_speedup,
     )?;
-    write_throughput_bench(
-        &artifacts,
-        backend.as_ref(),
-        &suite,
-        &criteria,
-        args.jobs,
-        fast_successes,
-        base_successes,
-        mean_speedup,
-    )?;
     println!("artifacts: {}", artifacts.dir().display());
 
     if gate {
@@ -237,63 +224,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "table1 gate passed: {fast_successes}/12 successes, mean speedup {mean_speedup:.2}x"
         );
     }
-    Ok(())
-}
-
-/// Times the full two-method suite serially vs `--jobs 4` and writes
-/// `BENCH_batch_throughput.json` — the machine-readable perf artifact
-/// tracked across PRs. Wall times are compute-bound here (replayed
-/// sessions have no real dwell), so the parallel speedup reflects
-/// available cores, not dwell overlap.
-#[allow(clippy::too_many_arguments)]
-fn write_throughput_bench(
-    artifacts: &Artifacts,
-    backend: &dyn SourceBackend,
-    suite: &[qd_dataset::GeneratedBenchmark],
-    criteria: &SuccessCriteria,
-    jobs_flag: usize,
-    fast_successes: usize,
-    base_successes: usize,
-    mean_speedup: f64,
-) -> std::io::Result<()> {
-    let time_with = |jobs: usize| -> (f64, usize) {
-        let started = Instant::now();
-        let runs = run_suite_on(backend, suite, criteria, jobs);
-        let ok = runs.iter().filter(|r| r.fast.report.success).count();
-        (started.elapsed().as_secs_f64(), ok)
-    };
-    let (serial_s, serial_ok) = time_with(1);
-    let (jobs4_s, jobs4_ok) = time_with(4);
-    assert_eq!(
-        serial_ok, jobs4_ok,
-        "batch determinism violated between jobs=1 and jobs=4"
-    );
-
-    let json = Json::object()
-        .field("bench", "batch_throughput")
-        .field("suite", "paper12-both-methods")
-        .field("serial_wall_s", Json::num(serial_s))
-        .field("jobs4_wall_s", Json::num(jobs4_s))
-        .field(
-            "throughput_speedup",
-            Json::num(serial_s / jobs4_s.max(1e-12)),
-        )
-        .field("jobs_flag", jobs_flag)
-        .field(
-            "table1",
-            Json::object()
-                .field("fast_successes", fast_successes)
-                .field("baseline_successes", base_successes)
-                .field("mean_speedup", Json::num(mean_speedup))
-                .build(),
-        )
-        .build();
-    let path = artifacts.write("BENCH_batch_throughput.json", &json.pretty())?;
-    println!(
-        "batch throughput: {serial_s:.2}s serial vs {jobs4_s:.2}s --jobs 4 ({:.2}x) -> {}",
-        serial_s / jobs4_s.max(1e-12),
-        path.display()
-    );
     Ok(())
 }
 

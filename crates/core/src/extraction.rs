@@ -3,7 +3,7 @@
 use crate::anchors::{find_anchors, AnchorConfig, AnchorResult};
 use crate::api::{ExtractionReport, Extractor, SessionView, Stage};
 use crate::error::FitError;
-use crate::fit::{fit_transition_lines_with, FitMethod, SlopeBounds, SlopeFit};
+use crate::fit::{fit_transition_lines, FitMethod, SlopeBounds, SlopeFit};
 use crate::postprocess::postprocess;
 use crate::report::Method;
 use crate::sweep::{column_major_sweep, row_major_sweep, SweepConfig, SweepStep};
@@ -223,7 +223,7 @@ impl FastExtractor {
 
         // §4.3.3: fit and virtualization matrix.
         session.begin_stage(Stage::Fit);
-        let fit = fit_transition_lines_with(
+        let fit = fit_transition_lines(
             anchors.a1,
             anchors.a2,
             &transition_points,

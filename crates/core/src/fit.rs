@@ -71,7 +71,8 @@ impl Default for SlopeBounds {
 }
 
 /// Fits the transition lines through the located `points`, with `a1` /
-/// `a2` the initial (upper-left / lower-right) anchors.
+/// `a2` the initial (upper-left / lower-right) anchors, using the
+/// `method` optimizer.
 ///
 /// # Errors
 ///
@@ -82,20 +83,6 @@ impl Default for SlopeBounds {
 ///   "did the virtualization look right" inspection.
 /// * [`crate::FitError::Numerics`] if the inner optimizer fails outright.
 pub fn fit_transition_lines(
-    a1: Pixel,
-    a2: Pixel,
-    points: &[Pixel],
-    bounds: &SlopeBounds,
-) -> Result<SlopeFit, ExtractError> {
-    fit_transition_lines_with(a1, a2, points, bounds, FitMethod::NelderMead)
-}
-
-/// [`fit_transition_lines`] with an explicit optimizer choice.
-///
-/// # Errors
-///
-/// Same conditions as [`fit_transition_lines`].
-pub fn fit_transition_lines_with(
     a1: Pixel,
     a2: Pixel,
     points: &[Pixel],
@@ -206,7 +193,9 @@ mod tests {
         let a2 = Pixel::new(70, 14);
         let c = (60.0, 54.0);
         let pts = line_points(a1, a2, c, 25);
-        let fit = fit_transition_lines(a1, a2, &pts, &SlopeBounds::default()).unwrap();
+        let fit =
+            fit_transition_lines(a1, a2, &pts, &SlopeBounds::default(), FitMethod::NelderMead)
+                .unwrap();
         assert!((fit.slope_h + 0.2).abs() < 0.03, "slope_h {}", fit.slope_h);
         assert!((fit.slope_v + 4.0).abs() < 0.5, "slope_v {}", fit.slope_v);
         assert!(fit.rms < 1.0, "rms {}", fit.rms);
@@ -220,7 +209,7 @@ mod tests {
         let a2 = Pixel::new(50, 0);
         let pts = vec![Pixel::new(10, 40), Pixel::new(20, 30)];
         assert!(matches!(
-            fit_transition_lines(a1, a2, &pts, &SlopeBounds::default()),
+            fit_transition_lines(a1, a2, &pts, &SlopeBounds::default(), FitMethod::NelderMead),
             Err(ExtractError::Geometry(
                 GeometryError::TooFewTransitionPoints { got: 2, min: 4 }
             ))
@@ -234,7 +223,7 @@ mod tests {
         let a1 = Pixel::new(0, 30);
         let a2 = Pixel::new(80, 28);
         let pts: Vec<Pixel> = (10..50).map(|x| Pixel::new(x, 29)).collect();
-        let r = fit_transition_lines(a1, a2, &pts, &SlopeBounds::default());
+        let r = fit_transition_lines(a1, a2, &pts, &SlopeBounds::default(), FitMethod::NelderMead);
         assert!(
             matches!(r, Err(ExtractError::Fit(FitError::UnphysicalSlopes { .. }))),
             "expected unphysical-slope rejection, got {r:?}"
@@ -256,7 +245,9 @@ mod tests {
                 p.y += 1;
             }
         }
-        let fit = fit_transition_lines(a1, a2, &pts, &SlopeBounds::default()).unwrap();
+        let fit =
+            fit_transition_lines(a1, a2, &pts, &SlopeBounds::default(), FitMethod::NelderMead)
+                .unwrap();
         assert!(fit.slope_v < -1.0);
         assert!(fit.slope_h > -1.0 && fit.slope_h < 0.0);
     }
@@ -266,10 +257,9 @@ mod tests {
         let a1 = Pixel::new(10, 64);
         let a2 = Pixel::new(70, 14);
         let pts = line_points(a1, a2, (60.0, 54.0), 25);
-        let nm =
-            fit_transition_lines_with(a1, a2, &pts, &SlopeBounds::default(), FitMethod::NelderMead)
-                .unwrap();
-        let lm = fit_transition_lines_with(
+        let nm = fit_transition_lines(a1, a2, &pts, &SlopeBounds::default(), FitMethod::NelderMead)
+            .unwrap();
+        let lm = fit_transition_lines(
             a1,
             a2,
             &pts,
@@ -302,7 +292,7 @@ mod tests {
             ..SlopeBounds::default()
         };
         assert!(matches!(
-            fit_transition_lines(a1, a2, &pts, &strict),
+            fit_transition_lines(a1, a2, &pts, &strict, FitMethod::NelderMead),
             Err(ExtractError::Fit(FitError::UnphysicalSlopes { .. }))
         ));
     }

@@ -99,27 +99,6 @@ impl VirtualizationMatrix {
         ((u1 - self.alpha12 * u2) / d, (-self.alpha21 * u1 + u2) / d)
     }
 
-    /// The inverse matrix (so that `m.inverse().to_virtual` undoes
-    /// `m.to_virtual`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CsdError::SingularTransform`] if the inverse coefficients
-    /// would themselves form a singular matrix (cannot happen for valid
-    /// inputs, but kept for API honesty).
-    pub fn inverse(&self) -> Result<Self, CsdError> {
-        // [[1, a],[b, 1]]⁻¹ = 1/det [[1, -a],[-b, 1]]. Renormalizing the
-        // diagonal to 1 gives coefficients -a/det·det... the inverse of a
-        // unit-diagonal matrix does not generally have unit diagonal, so
-        // express it via the equivalent slope action instead: the matrix
-        // with α₁₂' = -α₁₂ and α₂₁' = -α₂₁ composed with a scale. For the
-        // practical use (undoing a transform on coordinates) use
-        // `to_physical`; `inverse` returns the unit-diagonal matrix that
-        // matches `to_physical` up to the overall 1/det scale, which does
-        // not move transition-line *slopes*.
-        Self::new(-self.alpha12, -self.alpha21)
-    }
-
     /// Slope of the image of a line of slope `m` under the forward map.
     ///
     /// Returns `f64::INFINITY` for a vertical image.
@@ -252,14 +231,6 @@ mod tests {
     fn map_slope_identity() {
         let m = VirtualizationMatrix::identity();
         assert_eq!(m.map_slope(-2.0), -2.0);
-    }
-
-    #[test]
-    fn inverse_negates_coefficients() {
-        let m = VirtualizationMatrix::new(0.3, 0.2).unwrap();
-        let inv = m.inverse().unwrap();
-        assert_eq!(inv.alpha12(), -0.3);
-        assert_eq!(inv.alpha21(), -0.2);
     }
 
     #[test]

@@ -55,4 +55,4 @@ pub use spec::{BenchmarkSpec, NoiseRecipe};
 pub use suite::{
     generate_suite, paper_benchmark, paper_specs, paper_suite, paper_suite_jobs, random_specs,
 };
-pub use zoo::{default_zoo, zoo_specs, Severity, ZooFamily, ZooScenario, DEFAULT_ZOO_SEED};
+pub use zoo::{zoo_specs, Severity, ZooFamily, ZooScenario, DEFAULT_ZOO_SEED};

@@ -32,8 +32,8 @@
 //! probe, and the bus/DAC models contain no randomness at all.
 //!
 //! Bus time is *virtual* (accounted, never slept — like the default
-//! [`crate::DwellClock`]): [`HwSimSource::bus`] accumulates it per
-//! source, and [`HwSimProfile::scatter_cost`] recomputes it from a
+//! [`crate::DwellClock`]): each [`HwSimSource`] accumulates it (shown
+//! in its `Debug` output), and [`HwSimProfile::scatter_cost`] recomputes it from a
 //! probe scatter after the fact, which is how the `fastvg-zoo` harness
 //! reports per-scenario sweep cost.
 //!
@@ -542,11 +542,6 @@ impl HwSimSource {
         }
     }
 
-    /// The bus traffic this source has accumulated.
-    pub fn bus(&self) -> BusStats {
-        self.bus
-    }
-
     /// The realized DAC model.
     pub fn dac(&self) -> &DacModel {
         &self.dac
@@ -757,8 +752,8 @@ mod tests {
         for (v1, v2) in [(-10.0, 5.0), (0.25, 17.75), (21.0, 36.0)] {
             assert_eq!(source.current(v1, v2), plain.current(v1, v2));
         }
-        assert_eq!(source.bus().probes, 3);
-        assert!(source.bus().time > Duration::ZERO);
+        assert_eq!(source.bus.probes, 3);
+        assert!(source.bus.time > Duration::ZERO);
     }
 
     #[test]

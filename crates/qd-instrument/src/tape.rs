@@ -249,23 +249,6 @@ impl Tape {
             .map_err(|e| TapeError::io(format!("tape: cannot read {}", path.display()), e))?;
         Self::parse(&text)
     }
-
-    /// Writes the tape to a file, creating parent directories as needed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TapeError`] on I/O failures.
-    pub fn save(&self, path: &Path) -> Result<(), TapeError> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| {
-                    TapeError::io(format!("tape: cannot create {}", parent.display()), e)
-                })?;
-            }
-        }
-        std::fs::write(path, self.to_text())
-            .map_err(|e| TapeError::io(format!("tape: cannot write {}", path.display()), e))
-    }
 }
 
 /// Wraps a [`CurrentSource`], taping every probe that reaches it.
@@ -607,7 +590,7 @@ mod tests {
             std::process::id(),
             std::thread::current().id()
         ));
-        tape.save(&path).unwrap();
+        std::fs::write(&path, tape.to_text()).unwrap();
         let back = Tape::load(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(back, tape);

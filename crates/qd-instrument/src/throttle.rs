@@ -5,9 +5,10 @@
 //! that makes batch-level parallelism pay off on real hardware: while one
 //! instrument dwells, the host CPU is idle and can drive other devices.
 //! [`ThrottledSource`] makes that latency physical by sleeping a
-//! configurable dwell before each underlying probe, so throughput
-//! harnesses (the `batch_throughput` bench) measure genuine overlap
-//! rather than simulated numbers.
+//! configurable dwell before each underlying probe, so a run over the
+//! `throttled:<dwell>` backend spends real wall time per probe and
+//! batch-level overlap shows up in measured time rather than only in
+//! the virtual dwell ledger.
 
 use crate::{CurrentSource, VoltageWindow};
 use std::time::Duration;

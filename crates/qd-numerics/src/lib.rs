@@ -16,7 +16,7 @@
 //! * [`levenberg`] — damped Gauss–Newton (Levenberg–Marquardt) for small
 //!   dense nonlinear least-squares problems.
 //! * [`piecewise`] — the 2-piece-wise-linear transition-line model.
-//! * [`stats`] — mean / variance / median / percentile / argmax helpers.
+//! * [`stats`] — mean / median / percentile / argmax helpers.
 //!
 //! # Example
 //!

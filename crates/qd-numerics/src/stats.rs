@@ -26,16 +26,6 @@ pub fn mean(data: &[f64]) -> Result<f64, NumericsError> {
     Ok(data.iter().sum::<f64>() / data.len() as f64)
 }
 
-/// Population variance (divides by `n`, not `n - 1`).
-///
-/// # Errors
-///
-/// Returns [`NumericsError::EmptyInput`] if `data` is empty.
-pub fn variance(data: &[f64]) -> Result<f64, NumericsError> {
-    let m = mean(data)?;
-    Ok(data.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / data.len() as f64)
-}
-
 /// Median via sorting a copy. NaNs sort last and are therefore effectively
 /// ignored for typical inputs without NaN.
 ///
@@ -134,13 +124,6 @@ mod tests {
     #[test]
     fn mean_rejects_empty() {
         assert_eq!(mean(&[]), Err(NumericsError::EmptyInput));
-    }
-
-    #[test]
-    fn variance_of_symmetric_data() {
-        // {-1, 0, 1}: mean 0, variance 2/3.
-        let v = variance(&[-1.0, 0.0, 1.0]).unwrap();
-        assert!((v - 2.0 / 3.0).abs() < 1e-15);
     }
 
     #[test]

@@ -51,14 +51,6 @@ impl BoundarySegment {
         let dy = self.end.1 - self.start.1;
         (dx * dx + dy * dy).sqrt()
     }
-
-    /// Midpoint of the segment.
-    pub fn midpoint(&self) -> (f64, f64) {
-        (
-            0.5 * (self.start.0 + self.end.0),
-            0.5 * (self.start.1 + self.end.1),
-        )
-    }
 }
 
 /// The honeycomb geometry found in a voltage window.
@@ -68,19 +60,6 @@ pub struct Honeycomb {
     pub segments: Vec<BoundarySegment>,
     /// All triple points `(V₁, V₂)` (three-state degeneracies).
     pub triple_points: Vec<(f64, f64)>,
-}
-
-impl Honeycomb {
-    /// Segments whose `from`/`to` match the given pair (order-sensitive).
-    pub fn between<'a>(
-        &'a self,
-        from: &'a [u32],
-        to: &'a [u32],
-    ) -> impl Iterator<Item = &'a BoundarySegment> + 'a {
-        self.segments
-            .iter()
-            .filter(move |s| s.from == from && s.to == to)
-    }
 }
 
 /// Traces the honeycomb of a 2-gate model inside the window
@@ -271,6 +250,17 @@ fn merge_clusters(points: &[(f64, f64)], radius: f64) -> Vec<(f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Segments whose `from`/`to` match the given pair (order-sensitive).
+    fn between<'a>(
+        hc: &'a Honeycomb,
+        from: &'a [u32],
+        to: &'a [u32],
+    ) -> impl Iterator<Item = &'a BoundarySegment> + 'a {
+        hc.segments
+            .iter()
+            .filter(move |s| s.from == from && s.to == to)
+    }
     use crate::DeviceBuilder;
 
     fn setup() -> (CapacitanceModel, ChargeStateSolver, (f64, f64, f64, f64)) {
@@ -304,8 +294,8 @@ mod tests {
             "only {} boundary pairs found: {state_pairs:?}",
             state_pairs.len()
         );
-        assert!(hc.between(&[0, 0], &[1, 0]).next().is_some());
-        assert!(hc.between(&[0, 0], &[0, 1]).next().is_some());
+        assert!(between(&hc, &[0, 0], &[1, 0]).next().is_some());
+        assert!(between(&hc, &[0, 0], &[0, 1]).next().is_some());
     }
 
     #[test]
@@ -315,12 +305,10 @@ mod tests {
         let steep_analytic = model.transition_slope(0, 0, 1).unwrap();
         let shallow_analytic = model.transition_slope(1, 0, 1).unwrap();
 
-        let steep = hc
-            .between(&[0, 0], &[1, 0])
+        let steep = between(&hc, &[0, 0], &[1, 0])
             .max_by(|a, b| a.length().partial_cmp(&b.length()).unwrap())
             .expect("steep boundary exists");
-        let shallow = hc
-            .between(&[0, 0], &[0, 1])
+        let shallow = between(&hc, &[0, 0], &[0, 1])
             .max_by(|a, b| a.length().partial_cmp(&b.length()).unwrap())
             .expect("shallow boundary exists");
 
@@ -455,7 +443,6 @@ mod tests {
             end: (3.0, 4.0),
         };
         assert_eq!(s.length(), 5.0);
-        assert_eq!(s.midpoint(), (1.5, 2.0));
         assert!((s.slope().unwrap() - 4.0 / 3.0).abs() < 1e-12);
         let v = BoundarySegment {
             start: (1.0, 0.0),

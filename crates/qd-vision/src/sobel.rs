@@ -31,7 +31,7 @@ impl GradientField {
     /// # Panics
     ///
     /// Panics if the pixel is out of bounds.
-    pub fn gx(&self, x: usize, y: usize) -> f64 {
+    fn gx(&self, x: usize, y: usize) -> f64 {
         assert!(x < self.width && y < self.height, "pixel out of bounds");
         self.gx[y * self.width + x]
     }

@@ -4,8 +4,11 @@
 //!   must come back out of `/trace/recent` as one **connected**
 //!   waterfall — router request span under the client's span, the
 //!   proxy attempt under that, the daemon's request under the attempt,
-//!   its queue-wait/prepare/extract spans tiling without overlap, and
-//!   per-stage spans under extract;
+//!   its queue-wait/prepare/extract/serialize spans tiling without
+//!   overlap, and per-stage spans under extract;
+//! * N traced requests through the fleet, cold and hot, leave exactly N
+//!   trace ids across every process's `/trace/recent`, each of them
+//!   connected;
 //! * `/metrics` from both the daemon and the router must be
 //!   well-formed Prometheus text: every sample preceded by its
 //!   family's `# HELP`/`# TYPE` pair, histogram buckets cumulative and
@@ -147,6 +150,7 @@ fn handcrafted_trace_context_yields_one_connected_waterfall() {
         "queue_wait",
         "prepare",
         "extract",
+        "serialize",
         "respond",
     ] {
         let found = by_name("daemon", name);
@@ -157,9 +161,10 @@ fn handcrafted_trace_context_yields_one_connected_waterfall() {
             "{name} parent"
         );
     }
-    // The job's scheduler-side spans tile: queue_wait ends where prepare
-    // begins, and prepare ends where extract begins.
-    let tiled: Vec<&Drained> = ["queue_wait", "prepare", "extract"]
+    // The job's worker-side spans tile: queue_wait ends where prepare
+    // begins, prepare where extract begins, and extract where serialize
+    // begins.
+    let tiled: Vec<&Drained> = ["queue_wait", "prepare", "extract", "serialize"]
         .iter()
         .map(|name| by_name("daemon", name)[0])
         .collect();
@@ -192,6 +197,100 @@ fn handcrafted_trace_context_yields_one_connected_waterfall() {
                 span.layer,
                 span.name
             ),
+        }
+    }
+}
+
+#[test]
+fn every_traced_request_leaves_exactly_one_connected_trace() {
+    let (router, daemons) = boot_fleet();
+    let addr = router.addr().to_string();
+
+    // Three cold requests, then the same three again (hot): each one
+    // carries its own client context, as a traced client sends it.
+    let benchmarks = [3usize, 6, 9, 3, 6, 9];
+    let contexts: Vec<TraceContext> = (0..benchmarks.len() as u64)
+        .map(|i| TraceContext {
+            trace: 0x7ace_0000_0000_0100 + i,
+            span: 0xc11e_0000_0000_0000 + i,
+        })
+        .collect();
+    let mut client = Client::connect(&addr).expect("connect");
+    let mut cache = Vec::new();
+    for (benchmark, ctx) in benchmarks.iter().zip(&contexts) {
+        let body = format!("{{\"benchmark\": {benchmark}, \"method\": \"fast\"}}");
+        let response = client
+            .send_with_headers(
+                "POST",
+                "/extract?wait",
+                body.as_bytes(),
+                &[(TRACE_HEADER, &ctx.encode())],
+            )
+            .expect("traced request");
+        assert_eq!(response.status, 200, "benchmark {benchmark}");
+        cache.push(
+            response
+                .header("x-fastvg-cache")
+                .unwrap_or("miss")
+                .to_string(),
+        );
+    }
+    assert!(
+        cache[..3].iter().all(|c| c == "miss"),
+        "cold pass: {cache:?}"
+    );
+    assert!(
+        cache[3..].iter().all(|c| c == "hit" || c == "peer"),
+        "hot pass: {cache:?}"
+    );
+
+    let mut spans = drain_recent(&addr);
+    for daemon in &daemons {
+        spans.extend(drain_recent(&daemon.addr().to_string()));
+    }
+    stop_fleet(router, daemons);
+
+    let mut traces: BTreeMap<u64, Vec<&Drained>> = BTreeMap::new();
+    for span in &spans {
+        traces.entry(span.trace).or_default().push(span);
+    }
+    let sent: BTreeSet<u64> = contexts.iter().map(|c| c.trace).collect();
+    assert_eq!(
+        traces.keys().copied().collect::<BTreeSet<u64>>(),
+        sent,
+        "one trace id per traced request, and no other"
+    );
+    for ctx in &contexts {
+        let trace = &traces[&ctx.trace];
+        let ids: BTreeSet<u64> = trace.iter().map(|s| s.span).collect();
+        let roots: Vec<&&Drained> = trace
+            .iter()
+            .filter(|s| s.parent == Some(ctx.span))
+            .collect();
+        assert_eq!(
+            roots.len(),
+            1,
+            "trace {:016x}: one span under the client's",
+            ctx.trace
+        );
+        assert_eq!(
+            (roots[0].layer.as_str(), roots[0].name.as_str()),
+            ("router", "request")
+        );
+        for span in trace {
+            let parent = span.parent.unwrap_or_else(|| {
+                panic!(
+                    "trace {:016x}: {}/{} is a root",
+                    ctx.trace, span.layer, span.name
+                )
+            });
+            assert!(
+                ids.contains(&parent) || parent == ctx.span,
+                "trace {:016x}: orphan span {}/{}",
+                ctx.trace,
+                span.layer,
+                span.name
+            );
         }
     }
 }

@@ -36,7 +36,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What one job extracts: a scenario to realize into a diagram.
 #[derive(Debug, Clone)]
@@ -474,11 +474,13 @@ fn extractor_for(method: Method) -> Option<Box<dyn Extractor>> {
     }
 }
 
-/// When a job's extraction ran, for how long, and the stage timings of
-/// its report (empty when extraction failed).
+/// When a job's extraction started and ended, when its response body
+/// was built, and the stage timings of its report (empty when
+/// extraction failed).
 struct Extraction {
     started: Instant,
-    wall: Duration,
+    ended: Instant,
+    serialized: Instant,
     stages: Vec<StageTiming>,
 }
 
@@ -537,11 +539,12 @@ fn execute(id: u64, request: &JobRequest) -> Ran {
     };
     let started = Instant::now();
     let outcome = extract_with(extractor.as_ref(), &mut session);
-    let wall = started.elapsed();
+    let ended = Instant::now();
     let (ok, body, stages) = match outcome {
         Ok(report) => (true, result_body(&report), report.stages),
         Err(error) => (false, failure_body(&error), Vec::new()),
     };
+    let serialized = Instant::now();
     Ran {
         finished: FinishedJob {
             ok,
@@ -551,7 +554,8 @@ fn execute(id: u64, request: &JobRequest) -> Ran {
         cacheable: true,
         extraction: Some(Extraction {
             started,
-            wall,
+            ended,
+            serialized,
             stages,
         }),
     }
@@ -608,12 +612,14 @@ fn run_job(shared: &Shared, id: u64, request: &JobRequest, submitted: Instant) {
 /// Mints the worker-side spans for one traced job: `queue_wait`
 /// (submit → a worker taking the job), `prepare` (take → extraction
 /// start: scenario synthesis and source open; up to now for a job that
-/// failed before extracting) and `extract` (the extraction wall time).
-/// The three tile without overlap. One child span per extraction stage
-/// is laid out sequentially inside `extract`; stage spans are
-/// re-exported from the Observer-derived [`StageTiming`]s each report
-/// carries — the pipeline itself is not re-instrumented. Instants map
-/// to wall-clock microseconds through one "now" reading.
+/// failed before extracting), `extract` (the extraction wall time) and
+/// `serialize` (extraction end → response body built). The four tile
+/// without overlap: each span ends at the microsecond the next starts.
+/// One child span per extraction stage is laid out sequentially inside
+/// `extract`; stage spans are re-exported from the Observer-derived
+/// [`StageTiming`]s each report carries — the pipeline itself is not
+/// re-instrumented. Instants map to wall-clock microseconds through one
+/// "now" reading.
 fn trace_job(
     tracer: &Tracer,
     request: &JobRequest,
@@ -629,30 +635,34 @@ fn trace_job(
     let now = Instant::now();
     let since_submit = |t: Instant| t.saturating_duration_since(submitted).as_micros() as u64;
     let submit_us = fastvg_obs::unix_us().saturating_sub(since_submit(now));
-    let queue_us = since_submit(taken);
-    let start_us = since_submit(extraction.map_or(now, |e| e.started));
-    tracer.emit(trace, parent, "queue_wait", submit_us, queue_us, Vec::new());
-    tracer.emit(
-        trace,
-        parent,
+    let tile = |name: &'static str, from: Instant, to: Instant, attrs: Vec<_>| {
+        let start = since_submit(from);
+        let dur = since_submit(to).saturating_sub(start);
+        tracer.emit(trace, parent, name, submit_us + start, dur, attrs)
+    };
+    tile("queue_wait", submitted, taken, Vec::new());
+    tile(
         "prepare",
-        submit_us + queue_us,
-        start_us.saturating_sub(queue_us),
+        taken,
+        extraction.map_or(now, |e| e.started),
         Vec::new(),
     );
     let Some(extraction) = extraction else {
         return;
     };
-    let extract_start_us = submit_us + start_us;
-    let extract = tracer.emit(
-        trace,
-        parent,
+    let extract = tile(
         "extract",
-        extract_start_us,
-        extraction.wall.as_micros() as u64,
+        extraction.started,
+        extraction.ended,
         vec![("method", request.method.wire_name().to_string())],
     );
-    let mut cursor = extract_start_us;
+    tile(
+        "serialize",
+        extraction.ended,
+        extraction.serialized,
+        Vec::new(),
+    );
+    let mut cursor = submit_us + since_submit(extraction.started);
     for timing in &extraction.stages {
         let dur = timing.elapsed.as_micros() as u64;
         tracer.emit(
@@ -671,6 +681,7 @@ fn trace_job(
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
+    use std::time::Duration;
 
     /// Blocks until job `id` resolves: its outcome, or `None` when the
     /// id is unknown or the queue stopped first.

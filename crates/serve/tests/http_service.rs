@@ -251,6 +251,15 @@ fn malformed_requests_are_rejected_not_crashed() {
             400,
         ),
         (br#"{"grid": {"width": 8}, "seed": 1}"#, 400),
+        // 1e999 parses to infinity.
+        (
+            br#"{"grid": {"width": 2, "height": 2, "x0": 0, "y0": 0, "delta": 1, "data": [1e999, 1, 1, 1]}}"#,
+            400,
+        ),
+        (
+            br#"{"grid": {"width": 0, "height": 4, "x0": 0, "y0": 0, "delta": 1, "data": []}}"#,
+            400,
+        ),
     ];
     for (body, expected) in cases {
         let response = client.post("/extract?wait", body).unwrap();
@@ -279,6 +288,52 @@ fn malformed_requests_are_rejected_not_crashed() {
 
     // The connection survived all of that (keep-alive), and the daemon
     // still serves.
+    let ok = client
+        .post("/extract?wait", br#"{"benchmark": 5}"#)
+        .unwrap();
+    assert_eq!(ok.status, 200);
+
+    daemon.shutdown();
+    daemon.join();
+}
+
+#[test]
+fn hostile_inline_grids_fail_classified() {
+    let daemon = boot();
+    let mut client = connect(&daemon);
+
+    // Degenerate but valid grids: every method must finish them as a
+    // classified extraction failure, never a crash or an "internal".
+    for method in ["fast", "hough", "tuned"] {
+        for (width, height) in [(1, 1), (1, 32), (32, 1), (2, 2)] {
+            let n = width * height;
+            let constant = vec!["1.0"; n];
+            let alternating: Vec<&str> = (0..n)
+                .map(|i| if i % 2 == 0 { "1e300" } else { "-1e300" })
+                .collect();
+            for (kind, data) in [("constant", constant), ("alternating", alternating)] {
+                let body = format!(
+                    "{{\"grid\": {{\"x0\": 0, \"y0\": 0, \"delta\": 1, \"width\": {width}, \"height\": {height}, \"data\": [{}]}}, \"method\": \"{method}\"}}",
+                    data.join(",")
+                );
+                let case = format!("{method} {width}x{height} {kind}");
+                let response = client.post("/extract?wait", body.as_bytes()).unwrap();
+                assert_eq!(response.status, 200, "{case}");
+                let doc = response.json().unwrap();
+                assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false), "{case}");
+                let category = doc
+                    .get("error")
+                    .and_then(|e| e.get("category"))
+                    .and_then(Json::as_str);
+                assert!(
+                    category.is_some_and(|c| c != "internal" && c != "request"),
+                    "{case}: category {category:?}"
+                );
+            }
+        }
+    }
+
+    // The same connection is still served.
     let ok = client
         .post("/extract?wait", br#"{"benchmark": 5}"#)
         .unwrap();

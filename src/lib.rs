@@ -158,8 +158,8 @@ pub mod prelude {
     pub use qd_physics::DeviceBuilder;
     // The synthetic benchmark suite.
     pub use qd_dataset::{
-        default_zoo, generate, load_suite, paper_benchmark, paper_suite, random_specs, save_suite,
-        zoo_specs, BenchmarkSpec, GeneratedBenchmark, NoiseRecipe, Severity, ZooFamily,
-        ZooScenario, DEFAULT_ZOO_SEED,
+        generate, load_suite, paper_benchmark, paper_suite, random_specs, save_suite, zoo_specs,
+        BenchmarkSpec, GeneratedBenchmark, NoiseRecipe, Severity, ZooFamily, ZooScenario,
+        DEFAULT_ZOO_SEED,
     };
 }
