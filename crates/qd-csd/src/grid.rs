@@ -1,13 +1,10 @@
 //! The pixel ↔ voltage coordinate system of a charge stability diagram.
 
 use crate::CsdError;
-use serde::{Deserialize, Serialize};
 
 /// An integer pixel coordinate in a CSD: `x` is the column (maps to
 /// `V_P1`), `y` is the row (maps to `V_P2`, increasing upward).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Pixel {
     /// Column index (`V_P1` direction).
     pub x: usize,
@@ -42,7 +39,7 @@ impl std::fmt::Display for Pixel {
 /// A uniform voltage grid: pixel `(x, y)` sits at voltages
 /// `(x0 + x·δ, y0 + y·δ)` where `δ` is the voltage granularity
 /// ("pixel size" in the paper's Alg. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VoltageGrid {
     x0: f64,
     y0: f64,

@@ -12,8 +12,7 @@
 //!
 //! Row 0 (bottom of the diagram) is written first. The format is meant for
 //! dataset archiving and cross-tool exchange, and it is the only
-//! serialization [`Csd`] has: its `serde` derives come from an offline
-//! marker shim (`vendor/serde`) that provides no serializer.
+//! serialization [`Csd`] has.
 
 use crate::{Csd, CsdError, VoltageGrid};
 

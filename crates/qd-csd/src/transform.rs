@@ -15,10 +15,9 @@
 //! shallow line to a horizontal line (paper Fig. 3 right).
 
 use crate::{Csd, CsdError, VoltageGrid};
-use serde::{Deserialize, Serialize};
 
 /// The 2×2 virtualization matrix `[[1, α₁₂], [α₂₁, 1]]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VirtualizationMatrix {
     alpha12: f64,
     alpha21: f64,

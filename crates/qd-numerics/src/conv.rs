@@ -45,7 +45,8 @@ impl Kernel2 {
     /// use qd_numerics::conv::Kernel2;
     /// # fn main() -> Result<(), qd_numerics::NumericsError> {
     /// let sobel_x = Kernel2::new(3, 3, vec![-1.0, 0.0, 1.0, -2.0, 0.0, 2.0, -1.0, 0.0, 1.0])?;
-    /// assert_eq!(sobel_x.shape(), (3, 3));
+    /// assert_eq!(sobel_x.at(1, 2), 2.0);
+    /// assert_eq!(sobel_x.sum(), 0.0);
     /// # Ok(())
     /// # }
     /// ```
@@ -72,7 +73,7 @@ impl Kernel2 {
     }
 
     /// Kernel dimensions as `(rows, cols)`.
-    pub fn shape(&self) -> (usize, usize) {
+    fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
 

@@ -114,12 +114,14 @@ impl CapacitanceModel {
         self.n_gates
     }
 
-    /// Dot–dot capacitance matrix entry `(i, j)`.
+    /// Dot–dot capacitance matrix entry `(i, j)`; the unit tests check
+    /// the interaction kernel against it.
     ///
     /// # Panics
     ///
     /// Panics if an index is out of bounds.
-    pub fn capacitance(&self, i: usize, j: usize) -> f64 {
+    #[cfg(test)]
+    fn capacitance(&self, i: usize, j: usize) -> f64 {
         assert!(
             i < self.n_dots && j < self.n_dots,
             "dot index out of bounds"

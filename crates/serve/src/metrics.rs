@@ -94,31 +94,6 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Total observed time.
-    pub fn sum(&self) -> Duration {
-        Duration::from_nanos(self.sum_ns.load(Ordering::Relaxed))
-    }
-
-    /// Snapshot of `(upper_bound_us, count)` per bucket, `None` for the
-    /// final `+Inf` bucket. Counts are per-bucket, not cumulative.
-    pub fn buckets(&self) -> Vec<(Option<u64>, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(|(i, bucket)| {
-                (
-                    BUCKET_BOUNDS_US.get(i).copied(),
-                    bucket.load(Ordering::Relaxed),
-                )
-            })
-            .collect()
-    }
-
     /// Appends the exposition lines for a histogram named `name`.
     /// Public so `fastvg-router` renders its proxy-latency histogram in
     /// the same format.
@@ -144,7 +119,10 @@ impl Histogram {
             "{name}_sum{braces} {}\n",
             self.sum_ns.load(Ordering::Relaxed) as f64 / 1e9
         ));
-        out.push_str(&format!("{name}_count{braces} {}\n", self.count()));
+        out.push_str(&format!(
+            "{name}_count{braces} {}\n",
+            self.count.load(Ordering::Relaxed)
+        ));
     }
 }
 
@@ -404,9 +382,14 @@ mod tests {
             h.observe(Duration::from_micros(80));
         }
         h.observe(Duration::from_millis(40));
-        let filled: Vec<_> = h.buckets().into_iter().filter(|&(_, n)| n > 0).collect();
-        assert_eq!(filled, vec![(Some(100), 99), (Some(50_000), 1)]);
-        assert_eq!(h.count(), 100);
+        let mut text = String::new();
+        h.render("h", "", &mut text);
+        // Cumulative counts: 0 up to 50 µs, 99 from 100 µs, all 100 from 50 ms.
+        assert!(text.contains("h_bucket{le=\"0.00005\"} 0\n"), "{text}");
+        assert!(text.contains("h_bucket{le=\"0.0001\"} 99\n"), "{text}");
+        assert!(text.contains("h_bucket{le=\"0.025\"} 99\n"), "{text}");
+        assert!(text.contains("h_bucket{le=\"0.05\"} 100\n"), "{text}");
+        assert!(text.contains("h_count 100\n"), "{text}");
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! | [`numerics`] | `qd-numerics` | fitting & convolution substrate |
 //! | [`vision`] | `qd-vision` | from-scratch Canny + Hough |
 //! | [`dataset`] | `qd-dataset` | the synthetic 12-benchmark suite |
-//! | [`par`] | `mini-rayon` | scoped worker pool behind [`core::batch`] |
 //!
 //! See `examples/quickstart.rs` for a complete end-to-end run and
 //! `crates/bench` for the harnesses regenerating every table and figure
@@ -102,7 +101,6 @@ pub use fastvg_core as core;
 pub use fastvg_router as router;
 pub use fastvg_serve as serve;
 pub use fastvg_wire as wire;
-pub use mini_rayon as par;
 pub use qd_csd as csd;
 pub use qd_dataset as dataset;
 pub use qd_instrument as instrument;
