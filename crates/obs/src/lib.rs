@@ -5,8 +5,8 @@
 //! per-process seed and a counter via the SplitMix64 finalizer, so a fixed
 //! seed reproduces the exact same id sequence — replay tests can assert on
 //! ids instead of fishing for them. Finished spans are pushed onto a bounded
-//! collector (a mutex-guarded queue; overflow is counted, never waits for
-//! the flusher) and drained by a background flusher thread into a
+//! collector (a Vyukov-style ring with no global lock; overflow is counted,
+//! never waits for the flusher) and drained by a background flusher thread into a
 //! newline-JSON file and a small in-memory ring served by `/trace/recent`.
 //!
 //! The crate deliberately depends on nothing — not even the workspace's
@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
@@ -205,52 +205,131 @@ pub fn unix_us() -> u64 {
         .as_micros() as u64
 }
 
+struct SlotCell {
+    /// Vyukov sequence: `ticket` when ready for a producer holding that
+    /// ticket, `ticket + 1` once the producer stored, `ticket + capacity`
+    /// after the consumer cleared it.
+    seq: AtomicUsize,
+    cell: Mutex<Option<Span>>,
+}
+
 /// Bounded multi-producer span queue with counted overflow.
 ///
-/// A `Mutex<VecDeque>` held only for one push or one drain: a full queue
-/// drops (and counts) rather than waits for the flusher, so tracing never
-/// adds backpressure to the hot path.
+/// A Vyukov-style ring: producers and consumers claim tickets with one
+/// atomic RMW each and synchronise per-slot through a sequence number, so
+/// the queue never takes a global lock and a full queue drops (and counts)
+/// rather than blocks — tracing must never add backpressure to the hot
+/// path. Slot payloads sit behind a per-slot `Mutex` purely to stay within
+/// safe Rust; the mutex is only ever taken uncontended by the ticket
+/// holder.
 pub struct Collector {
-    queue: Mutex<VecDeque<Span>>,
-    capacity: usize,
+    slots: Box<[SlotCell]>,
+    enqueue: AtomicUsize,
+    dequeue: AtomicUsize,
     dropped: AtomicU64,
 }
 
 impl std::fmt::Debug for Collector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Collector")
-            .field("capacity", &self.capacity)
+            .field("capacity", &self.slots.len())
             .field("dropped", &self.dropped.load(Ordering::Relaxed))
             .finish()
     }
 }
 
 impl Collector {
-    /// Creates a collector holding up to `capacity` spans.
+    /// Creates a collector holding up to `capacity` spans (rounded up to a
+    /// power of two, minimum 8).
     pub fn with_capacity(capacity: usize) -> Collector {
+        let capacity = capacity.max(8).next_power_of_two();
+        let slots = (0..capacity)
+            .map(|i| SlotCell {
+                seq: AtomicUsize::new(i),
+                cell: Mutex::new(None),
+            })
+            .collect::<Vec<_>>()
+            .into_boxed_slice();
         Collector {
-            queue: Mutex::new(VecDeque::new()),
-            capacity,
+            slots,
+            enqueue: AtomicUsize::new(0),
+            dequeue: AtomicUsize::new(0),
             dropped: AtomicU64::new(0),
         }
+    }
+
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
     }
 
     /// Pushes a span; on overflow the span is dropped and counted.
     /// Returns whether the span was accepted.
     pub fn push(&self, span: Span) -> bool {
-        let mut queue = self.queue.lock().expect("collector mutex poisoned");
-        if queue.len() == self.capacity {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return false;
+        let mut pos = self.enqueue.load(Ordering::Relaxed);
+        loop {
+            let slot = &self.slots[pos & self.mask()];
+            let seq = slot.seq.load(Ordering::Acquire);
+            if seq == pos {
+                match self.enqueue.compare_exchange_weak(
+                    pos,
+                    pos.wrapping_add(1),
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => {
+                        *slot.cell.lock().expect("slot mutex poisoned") = Some(span);
+                        slot.seq.store(pos.wrapping_add(1), Ordering::Release);
+                        return true;
+                    }
+                    Err(actual) => pos = actual,
+                }
+            } else if (seq as isize).wrapping_sub(pos as isize) < 0 {
+                // Slot not yet freed by the consumer: the ring is full.
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+                return false;
+            } else {
+                pos = self.enqueue.load(Ordering::Relaxed);
+            }
         }
-        queue.push_back(span);
-        true
     }
 
-    /// Drains every currently-queued span, oldest first.
+    /// Pops one span if available.
+    pub fn pop(&self) -> Option<Span> {
+        let mut pos = self.dequeue.load(Ordering::Relaxed);
+        loop {
+            let slot = &self.slots[pos & self.mask()];
+            let seq = slot.seq.load(Ordering::Acquire);
+            let expected = pos.wrapping_add(1);
+            if seq == expected {
+                match self.dequeue.compare_exchange_weak(
+                    pos,
+                    pos.wrapping_add(1),
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => {
+                        let span = slot.cell.lock().expect("slot mutex poisoned").take();
+                        slot.seq
+                            .store(pos.wrapping_add(self.slots.len()), Ordering::Release);
+                        return span;
+                    }
+                    Err(actual) => pos = actual,
+                }
+            } else if (seq as isize).wrapping_sub(expected as isize) < 0 {
+                return None; // empty
+            } else {
+                pos = self.dequeue.load(Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Drains every currently-queued span.
     pub fn drain(&self) -> Vec<Span> {
-        let mut queue = self.queue.lock().expect("collector mutex poisoned");
-        queue.drain(..).collect()
+        let mut out = Vec::new();
+        while let Some(span) = self.pop() {
+            out.push(span);
+        }
+        out
     }
 
     /// Number of spans dropped on overflow since creation.
